@@ -39,7 +39,8 @@ Fault tolerance (see also :mod:`repro.serve.supervisor`):
   that exceeds it gets its worker **killed and respawned** and fails
   with the retryable :class:`~repro.errors.RequestTimeout`, so one hung
   evaluation can never wedge a coalesced batch;
-* shard results are validated (one dict per page); corruption is
+* shard results are validated (one well-formed
+  :class:`~repro.wrap.output.FlatOutput` per page); corruption is
   treated as a crash;
 * when a *multi-document* shard call crashes, the batch is **bisected**
   and the halves re-submitted, isolating the offending document(s):
@@ -82,10 +83,12 @@ from repro.serve.metrics import ServeMetrics
 from repro.serve.registry import RegisteredWrapper
 from repro.serve.supervisor import Quarantine, ShardSupervisor
 from repro.serve.tracing import Span
+from repro.wrap.output import FlatOutput
 
-#: A per-document evaluation outcome: the payload, or the error that
-#: should reach exactly that document's waiter.
-Outcome = Union[dict, BaseException]
+#: A per-document evaluation outcome: the output columns (what the cache
+#: stores and the server encodes), or the error that should reach
+#: exactly that document's waiter.
+Outcome = Union[FlatOutput, BaseException]
 
 
 class _Queue:
@@ -178,8 +181,8 @@ class MicroBatcher:
         html: str,
         timeout: Optional[float] = None,
         span: Optional[Span] = None,
-    ) -> dict:
-        """One document through the coalescing queue; returns its payload.
+    ) -> FlatOutput:
+        """One document through the coalescing queue; returns its output.
 
         ``timeout`` bounds each *shard call* this document participates
         in; a call that exceeds it kills the hung worker and fails with
@@ -246,7 +249,7 @@ class MicroBatcher:
         doc_id: str,
         timeout: Optional[float] = None,
         span: Optional[Span] = None,
-    ) -> dict:
+    ) -> FlatOutput:
         """One document through the incremental warm path.
 
         ``doc_id`` names the document across versions (a URL, a crawl
@@ -320,12 +323,12 @@ class MicroBatcher:
         doc_id: str,
         timeout: Optional[float],
         span: Optional[Span] = None,
-    ) -> dict:
+    ) -> FlatOutput:
         """One bounded warm shard call (mirrors ``_call_once``).
 
         Validates the ``{"pages", "stats"}`` payload and feeds the reuse
         stats into the incremental metrics before returning the single
-        page's output dict.  The ``shard.call`` span is tagged with the
+        page's output.  The ``shard.call`` span is tagged with the
         warm/engines/dirty reuse stats (warm calls carry no per-stage
         shard timings; the engines list still names the kernel used)."""
         call_span = (
@@ -400,7 +403,7 @@ class MicroBatcher:
         pages: Sequence[str],
         timeout: Optional[float] = None,
         span: Optional[Span] = None,
-    ) -> List[dict]:
+    ) -> List[FlatOutput]:
         """An already-batched request (``POST /batch``): no coalescing
         wait, but the same cache, dedup, sharding and backpressure.
 
@@ -666,7 +669,7 @@ class MicroBatcher:
         pages: List[str],
         timeout: Optional[float],
         span: Optional[Span] = None,
-    ) -> List[dict]:
+    ) -> List[FlatOutput]:
         """One bounded shard call: install if needed, submit, validate.
 
         Maps worker death to :class:`~repro.errors.ShardCrashed` and a

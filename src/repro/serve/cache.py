@@ -1,10 +1,11 @@
 """Content-hash LRU cache of extraction results.
 
 Keys are ``(wrapper cache key, document content hash)`` pairs; values are
-the JSON-serializable result payloads the shards produce.  A hit skips
+the flat output columns (:class:`~repro.wrap.output.FlatOutput`) the
+shards produce -- a few arrays per page, not a nested tree.  A hit skips
 tokenizing, snapshot building and the kernel fixpoint entirely -- the
 whole request becomes one dictionary lookup.  Entries are treated as
-immutable by every consumer (handlers serialize them straight to JSON),
+immutable by every consumer (handlers encode them straight to JSON),
 so no defensive copying happens on either side.
 
 Two optional bounds beyond the entry-count capacity:

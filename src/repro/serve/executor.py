@@ -5,8 +5,9 @@ call; a server cannot afford that.  :class:`ShardExecutor` owns a fixed
 set of *shards* -- each a single-worker ``ProcessPoolExecutor`` -- that
 live for the whole server lifetime.  A compiled wrapper is pickled and
 installed into each shard exactly once (plans + kernel tables, a few KB);
-after that, only HTML strings travel to a shard and only flat
-JSON-serializable output dicts travel back.
+after that, only HTML strings travel to a shard and only flat output
+columns (:class:`~repro.wrap.output.FlatOutput`, a few arrays per page)
+travel back.
 
 Documents are routed to shards by content hash, so identical documents
 always land on the same shard and a multi-document batch splits into at
@@ -37,6 +38,7 @@ from repro.errors import (
 )
 from repro.serve.faults import FAULTS_ENV, FaultInjector, FaultPlan, release_hangs
 from repro.wrap.extraction import Wrapper, WrapperState
+from repro.wrap.output import FlatOutput
 
 
 def content_hash(html: str) -> str:
@@ -74,65 +76,65 @@ def _shard_ping() -> bool:
     return True
 
 
-def _shard_wrap(key: str, pages: List[str]) -> List[dict]:
-    from repro.serve.faults import process_injector
-
-    wrapper = _SHARD_WRAPPERS.get(key)
+def _resident(wrappers: Dict[str, Wrapper], key: str) -> Wrapper:
+    wrapper = wrappers.get(key)
     if wrapper is None:
         # Retryable: the wrapper was evicted or the worker was respawned;
         # the next attempt re-installs it via ensure_installed.
         raise WrapperNotResident(
             f"wrapper {key!r} is not resident on this shard; retry the request"
         )
-    injector = process_injector()
+    return wrapper
+
+
+def wrap_pages(
+    wrapper: Wrapper,
+    injector: Optional[FaultInjector],
+    key: str,
+    pages: List[str],
+    traced: bool = False,
+):
+    """The shard-side wrap operation every shard flavor runs.
+
+    Returns one :class:`~repro.wrap.output.FlatOutput` per page; with
+    ``traced`` the per-page kernel stats ride along as ``{"pages":
+    [...], "kernel": [...]}``.  Fault injection applies to the pages
+    only -- the kernel stats are observability metadata, not results,
+    so garbling faults target what the client actually consumes.
+    """
     if injector is not None:
         injector.before_call(key, pages)
-    result = [out.to_dict() for out in wrapper.wrap_html_many(pages)]
+    if traced:
+        runs = wrapper.wrap_html_traced(pages)
+        result = [output for output, _ in runs]
+    else:
+        result = wrapper.wrap_html_flat(pages)
     if injector is not None:
         result = injector.after_call(key, result)
+    if traced:
+        return {"pages": result, "kernel": [trace for _, trace in runs]}
     return result
 
 
-def _shard_wrap_traced(key: str, pages: List[str]) -> dict:
-    """Traced flavor of :func:`_shard_wrap`: per-page kernel stats ride
-    along as ``{"pages": [...], "kernel": [...]}``.
-
-    Fault injection applies to the ``pages`` half only -- the kernel
-    stats are observability metadata, not results, so garbling faults
-    target what the client actually consumes.
-    """
-    from repro.serve.faults import process_injector
-
-    wrapper = _SHARD_WRAPPERS.get(key)
-    if wrapper is None:
-        raise WrapperNotResident(
-            f"wrapper {key!r} is not resident on this shard; retry the request"
-        )
-    injector = process_injector()
-    if injector is not None:
-        injector.before_call(key, pages)
-    traced = wrapper.wrap_html_traced(pages)
-    result = [out.to_dict() for out, _ in traced]
-    if injector is not None:
-        result = injector.after_call(key, result)
-    return {"pages": result, "kernel": [trace for _, trace in traced]}
-
-
-def _wrap_warm_against(
+def wrap_warm_items(
     wrapper: Wrapper,
+    injector: Optional[FaultInjector],
     states: "OrderedDict[Tuple[str, str], WrapperState]",
     key: str,
     items: List[Tuple[str, str]],
+    state_cap: int = _STATE_CAP,
 ) -> dict:
     """Warm-wrap ``(html, doc_id)`` items against a per-document state store.
 
-    Shared by the process and inline shard flavors: each document is
-    evaluated against the state its ``doc_id`` left behind last time (a
-    miss runs cold), and the store is rotated LRU under
-    :data:`_STATE_CAP`.  Returns ``{"pages": [...], "stats": [...]}`` --
-    one output dict and one reuse-stats dict per item.
+    Shared by every shard flavor: each document is evaluated against the
+    state its ``doc_id`` left behind last time (a miss runs cold), and
+    the store is rotated LRU under ``state_cap``.  Returns ``{"pages":
+    [...], "stats": [...]}`` -- one :class:`~repro.wrap.output.FlatOutput`
+    and one reuse-stats dict per item.
     """
-    pages: List[dict] = []
+    if injector is not None:
+        injector.before_call(key, [html for html, _ in items])
+    pages: List[FlatOutput] = []
     stats: List[dict] = []
     for html, doc_id in items:
         state_key = (key, doc_id)
@@ -140,9 +142,9 @@ def _wrap_warm_against(
         output, state, stat = wrapper.wrap_html_stateful(html, prior)
         states[state_key] = state
         states.move_to_end(state_key)
-        while len(states) > _STATE_CAP:
+        while len(states) > state_cap:
             states.popitem(last=False)
-        pages.append(output.to_dict())
+        pages.append(output)
         stats.append(
             {
                 "warm": stat["warm"],
@@ -151,24 +153,23 @@ def _wrap_warm_against(
                 "engines": stat["engines"],
             }
         )
+    if injector is not None:
+        pages = injector.after_call(key, pages)
     return {"pages": pages, "stats": stats}
+
+
+def _shard_wrap(key: str, pages: List[str], traced: bool = False):
+    from repro.serve.faults import process_injector
+
+    wrapper = _resident(_SHARD_WRAPPERS, key)
+    return wrap_pages(wrapper, process_injector(), key, pages, traced=traced)
 
 
 def _shard_wrap_warm(key: str, items: List[Tuple[str, str]]) -> dict:
     from repro.serve.faults import process_injector
 
-    wrapper = _SHARD_WRAPPERS.get(key)
-    if wrapper is None:
-        raise WrapperNotResident(
-            f"wrapper {key!r} is not resident on this shard; retry the request"
-        )
-    injector = process_injector()
-    if injector is not None:
-        injector.before_call(key, [html for html, _ in items])
-    result = _wrap_warm_against(wrapper, _SHARD_STATES, key, items)
-    if injector is not None:
-        result["pages"] = injector.after_call(key, result["pages"])
-    return result
+    wrapper = _resident(_SHARD_WRAPPERS, key)
+    return wrap_warm_items(wrapper, process_injector(), _SHARD_STATES, key, items)
 
 
 def _forget_on_failure(shard, key: str):
@@ -235,7 +236,7 @@ class _ProcessShard:
         return self._submit(_shard_wrap, key, pages)
 
     def run_traced(self, key: str, pages: List[str]) -> Future:
-        return self._submit(_shard_wrap_traced, key, pages)
+        return self._submit(_shard_wrap, key, pages, True)
 
     def run_warm(self, key: str, items: List[Tuple[str, str]]) -> Future:
         return self._submit(_shard_wrap_warm, key, items)
@@ -291,7 +292,7 @@ class _InlineShard:
         return self.pool.submit(self._wrap, key, pages)
 
     def run_traced(self, key: str, pages: List[str]) -> Future:
-        return self.pool.submit(self._wrap_traced, key, pages)
+        return self.pool.submit(self._wrap, key, pages, True)
 
     def run_warm(self, key: str, items: List[Tuple[str, str]]) -> Future:
         return self.pool.submit(self._wrap_warm, key, items)
@@ -299,45 +300,13 @@ class _InlineShard:
     def ping(self) -> Future:
         return self.pool.submit(_shard_ping)
 
-    def _wrap(self, key: str, pages: List[str]) -> List[dict]:
-        wrapper = self._wrappers.get(key)
-        if wrapper is None:
-            raise WrapperNotResident(
-                f"wrapper {key!r} is not resident on this shard; retry the request"
-            )
-        if self.injector is not None:
-            self.injector.before_call(key, pages)
-        result = [out.to_dict() for out in wrapper.wrap_html_many(pages)]
-        if self.injector is not None:
-            result = self.injector.after_call(key, result)
-        return result
-
-    def _wrap_traced(self, key: str, pages: List[str]) -> dict:
-        wrapper = self._wrappers.get(key)
-        if wrapper is None:
-            raise WrapperNotResident(
-                f"wrapper {key!r} is not resident on this shard; retry the request"
-            )
-        if self.injector is not None:
-            self.injector.before_call(key, pages)
-        traced = wrapper.wrap_html_traced(pages)
-        result = [out.to_dict() for out, _ in traced]
-        if self.injector is not None:
-            result = self.injector.after_call(key, result)
-        return {"pages": result, "kernel": [trace for _, trace in traced]}
+    def _wrap(self, key: str, pages: List[str], traced: bool = False):
+        wrapper = _resident(self._wrappers, key)
+        return wrap_pages(wrapper, self.injector, key, pages, traced=traced)
 
     def _wrap_warm(self, key: str, items: List[Tuple[str, str]]) -> dict:
-        wrapper = self._wrappers.get(key)
-        if wrapper is None:
-            raise WrapperNotResident(
-                f"wrapper {key!r} is not resident on this shard; retry the request"
-            )
-        if self.injector is not None:
-            self.injector.before_call(key, [html for html, _ in items])
-        result = _wrap_warm_against(wrapper, self._states, key, items)
-        if self.injector is not None:
-            result["pages"] = self.injector.after_call(key, result["pages"])
-        return result
+        wrapper = _resident(self._wrappers, key)
+        return wrap_warm_items(wrapper, self.injector, self._states, key, items)
 
     def kill(self) -> None:
         """Simulated hard kill: new pool, empty store, hangs released.
@@ -485,7 +454,8 @@ class ShardExecutor:
         return False
 
     def submit(self, shard_index: int, key: str, pages: List[str]) -> Future:
-        """Evaluate a sub-batch of pages on one shard (future of dicts)."""
+        """Evaluate a sub-batch of pages on one shard (future of one
+        :class:`~repro.wrap.output.FlatOutput` per page)."""
         if self._closed:
             raise ServeError("executor is closed")
         return self._shards[shard_index].run(key, pages)

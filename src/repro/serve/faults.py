@@ -28,8 +28,8 @@ Faults, all counter-based (``0`` disables each):
   module-level event so :func:`release_hangs` (called by shard kill and
   executor close) can unblock the worker thread;
 * ``corrupt_every=N`` — every Nth call returns a malformed result (wrong
-  length, non-dict entries) that the batcher must detect and treat as a
-  crash;
+  length, entries that are not output columns) that the batcher must
+  detect and treat as a crash;
 * ``poison_marker=TEXT`` — any document containing ``TEXT`` *always*
   crashes the worker, regardless of counters: the deterministic poison
   page used to exercise quarantine.
@@ -63,9 +63,10 @@ import json
 import os
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.errors import ServeError, ShardCrashed
+from repro.wrap.output import FlatOutput
 
 #: Environment variable carrying the active fault spec to worker processes.
 FAULTS_ENV = "REPRO_SERVE_FAULTS"
@@ -302,7 +303,7 @@ class FaultInjector:
             self._log("delay", seconds=self.plan.delay_s)
             time.sleep(self.plan.delay_s)
 
-    def after_call(self, key: str, result: List[dict]) -> List[dict]:
+    def after_call(self, key: str, result: List[FlatOutput]) -> list:
         """Run the post-evaluation faults; may corrupt the result."""
         if self._due(self.plan.corrupt_every):
             self._log("corrupt")
@@ -390,31 +391,37 @@ def process_injector() -> Optional[FaultInjector]:
     return _PROCESS_INJECTOR
 
 
-def validate_shard_result(result: object, expected: int) -> List[Dict]:
+def validate_shard_result(result: object, expected: int) -> List[FlatOutput]:
     """Reject malformed shard results (corruption -> retryable crash).
 
-    A healthy shard returns exactly one JSON-serializable dict per page;
-    anything else means the worker (or the transport) corrupted the
-    batch, and the safe response is the crash path: respawn + retry.
+    A healthy shard returns exactly one well-formed
+    :class:`~repro.wrap.output.FlatOutput` per page; anything else means
+    the worker (or the transport) corrupted the batch, and the safe
+    response is the crash path: respawn + retry.
 
-    >>> validate_shard_result([{"a": 1}], 1)
-    [{'a': 1}]
-    >>> validate_shard_result([{}, {}], 1)
+    >>> from repro.trees.stream import html_snapshot
+    >>> from repro.wrap.output import build_flat_output
+    >>> page = build_flat_output(html_snapshot("<p>x</p>"), {1: "p"})
+    >>> validate_shard_result([page], 1) == [page]
+    True
+    >>> validate_shard_result([page, page], 1)
     Traceback (most recent call last):
         ...
     repro.errors.ShardCrashed: shard returned 2 results for 1 page(s); treating as a crash
+    >>> validate_shard_result([{"label": "result"}], 1)
+    Traceback (most recent call last):
+        ...
+    repro.errors.ShardCrashed: shard returned a corrupted payload; treating as a crash
     """
-    if (
-        not isinstance(result, list)
-        or len(result) != expected
-        or not all(isinstance(item, dict) for item in result)
-    ):
+    if not isinstance(result, list) or len(result) != expected:
         count = len(result) if isinstance(result, list) else type(result).__name__
         raise ShardCrashed(
             f"shard returned {count} results for {expected} page(s); "
             "treating as a crash"
         )
-    if any("__corrupt__" in item for item in result):
+    if not all(
+        isinstance(item, FlatOutput) and item.is_well_formed() for item in result
+    ):
         raise ShardCrashed("shard returned a corrupted payload; treating as a crash")
     return result
 
@@ -423,14 +430,19 @@ def validate_warm_result(result: object, expected: int):
     """Validate the dict form a warm shard call returns.
 
     A healthy warm call resolves to ``{"pages": [...], "stats": [...]}``
-    with one output dict and one stats dict per submitted item; the
+    with one output and one stats dict per submitted item; the
     pages go through :func:`validate_shard_result` (so injected
     corruption is caught the same way), and a malformed stats column is
     likewise treated as a crash.  Returns ``(pages, stats)``.
 
-    >>> validate_warm_result({"pages": [{"a": 1}], "stats": [{"warm": True}]}, 1)
-    ([{'a': 1}], [{'warm': True}])
-    >>> validate_warm_result([{"a": 1}], 1)
+    >>> from repro.trees.stream import html_snapshot
+    >>> from repro.wrap.output import build_flat_output
+    >>> page = build_flat_output(html_snapshot("<p>x</p>"), {1: "p"})
+    >>> pages, stats = validate_warm_result(
+    ...     {"pages": [page], "stats": [{"warm": True}]}, 1)
+    >>> pages == [page], stats
+    (True, [{'warm': True}])
+    >>> validate_warm_result([page], 1)
     Traceback (most recent call last):
         ...
     repro.errors.ShardCrashed: warm shard call returned list, not a pages/stats dict; treating as a crash
@@ -464,13 +476,16 @@ def validate_traced_result(result: object, expected: int):
     degrade to a transport-only span.  A malformed kernel column is a
     crash, same as corrupted pages.
 
-    >>> validate_traced_result([{"a": 1}], 1)
-    ([{'a': 1}], None)
+    >>> from repro.trees.stream import html_snapshot
+    >>> from repro.wrap.output import build_flat_output
+    >>> page = build_flat_output(html_snapshot("<p>x</p>"), {1: "p"})
+    >>> validate_traced_result([page], 1) == ([page], None)
+    True
     >>> pages, kernel = validate_traced_result(
-    ...     {"pages": [{"a": 1}], "kernel": [{"kernel_ms": 0.5}]}, 1)
+    ...     {"pages": [page], "kernel": [{"kernel_ms": 0.5}]}, 1)
     >>> kernel[0]["kernel_ms"]
     0.5
-    >>> validate_traced_result({"pages": [{"a": 1}], "kernel": "bad"}, 1)
+    >>> validate_traced_result({"pages": [page], "kernel": "bad"}, 1)
     Traceback (most recent call last):
         ...
     repro.errors.ShardCrashed: traced shard call returned malformed kernel stats for 1 page(s); treating as a crash

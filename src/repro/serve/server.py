@@ -70,7 +70,16 @@ Fault tolerance (the paper's linear-time bound, made operational):
   keys around open breakers; its per-shard state is in ``/healthz``.
 
 Error mapping: 422 poison document, 503 retryable (crashed shard /
-overload / shutdown), 504 deadline exceeded after retries.
+overload / shutdown), 504 deadline exceeded after retries, 500 for a
+response that cannot be encoded (answered, logged and counted -- never a
+dropped connection).
+
+Wrapped outputs stay flat preorder columns
+(:class:`~repro.wrap.output.FlatOutput`) from the shard through the
+result cache to the HTTP writer: :func:`encode_response` splices each
+output's own iterative JSON encoding into the ``/extract`` and
+``/batch`` envelopes, byte-identical to ``json.dumps`` of the nested
+tree and with no recursion, however deep the output.
 """
 
 from __future__ import annotations
@@ -103,6 +112,7 @@ from repro.serve.registry import WrapperRegistry
 from repro.serve.supervisor import Quarantine, ShardSupervisor
 from repro.serve.tracing import RequestLog, Span, Tracer, find_spans, stage_timings
 from repro.serve.transport import RemoteShardExecutor
+from repro.wrap.output import FlatOutput
 
 _REASONS = {
     200: "OK",
@@ -119,6 +129,45 @@ _REASONS = {
 
 #: Routes whose duration feeds the latency percentiles.
 _TIMED_ROUTES = ("/extract/", "/batch")
+
+_JSON = "application/json"
+_TEXT = "text/plain; version=0.0.4; charset=utf-8"
+
+
+def _encode_field(value: object) -> str:
+    if isinstance(value, FlatOutput):
+        return value.to_json()
+    if isinstance(value, list) and value and isinstance(value[0], FlatOutput):
+        return "[" + ", ".join(output.to_json() for output in value) + "]"
+    return json.dumps(value)
+
+
+def encode_response(payload: dict) -> str:
+    """``json.dumps(payload)`` for a response dict with string keys.
+
+    Values that are :class:`~repro.wrap.output.FlatOutput` columns, or
+    lists of them (the ``result`` / ``results`` of ``/extract`` and
+    ``/batch``), are written by their own iterative encoder and spliced
+    in; every other value goes through :func:`json.dumps`.  The bytes
+    equal ``json.dumps`` of the payload with each output replaced by its
+    nested dict, key order included.
+
+    >>> from repro.trees.stream import html_snapshot
+    >>> from repro.wrap.output import build_flat_output
+    >>> out = build_flat_output(html_snapshot("<p>x</p>"), {1: "p"})
+    >>> payload = {"wrapper": "w", "result": out, "trace_id": "t"}
+    >>> encode_response(payload) == json.dumps(
+    ...     dict(payload, result=out.to_tree().to_dict()))
+    True
+    """
+    return (
+        "{"
+        + ", ".join(
+            f"{json.dumps(key)}: {_encode_field(value)}"
+            for key, value in payload.items()
+        )
+        + "}"
+    )
 
 
 class ExtractionServer:
@@ -422,10 +471,14 @@ class ExtractionServer:
                 trace_id = tracer.finish_trace(span)
                 if isinstance(payload, dict) and "trace_id" not in payload:
                     payload["trace_id"] = trace_id
+            # Encoded before the request is recorded, so a response that
+            # cannot be encoded is logged and counted as the 500 it is.
+            status, data, content_type = self._encode(status, payload, span)
+            if span is not None:
                 self._record_request(span, trace_id, status, elapsed)
             elif timed:
                 self.metrics.observe_latency(elapsed)
-            ok = await self._respond(writer, status, payload, keep_alive)
+            ok = await self._write(writer, status, data, content_type, keep_alive)
             if not ok or not keep_alive:
                 return
 
@@ -464,14 +517,40 @@ class ExtractionServer:
             error=root.get("error"),
         )
 
-    async def _respond(self, writer, status, payload, keep_alive=False) -> bool:
+    def _encode(
+        self, status: int, payload, span: Optional[Span] = None
+    ) -> Tuple[int, bytes, str]:
+        """``(status, body, content type)`` for one response; never raises.
+
+        A payload that fails to encode becomes a typed 500 JSON error:
+        the failure is counted in ``errors``, marked on the request's
+        span (so its access-log line carries status and error), and
+        logged directly when the request is untraced."""
         if isinstance(payload, str):
             # Text exposition (``/metrics?format=prometheus``).
-            data = payload.encode("utf-8")
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
-        else:
-            data = json.dumps(payload).encode("utf-8")
-            content_type = "application/json"
+            return status, payload.encode("utf-8"), _TEXT
+        try:
+            return status, encode_response(payload).encode("utf-8"), _JSON
+        except Exception as exc:
+            self.metrics.incr("errors")
+            error = f"response encoding failed: {type(exc).__name__}: {exc}"
+            failure = {"error": error, "retryable": False}
+            if isinstance(payload, dict) and "trace_id" in payload:
+                failure["trace_id"] = payload["trace_id"]
+            if span is not None:
+                span.fail(error)
+                span.tag(status=500)
+            elif self.request_log is not None:
+                self.request_log.log("response_error", status=500, error=error)
+            return 500, json.dumps(failure).encode("utf-8"), _JSON
+
+    async def _respond(self, writer, status, payload, keep_alive=False) -> bool:
+        status, data, content_type = self._encode(status, payload)
+        return await self._write(writer, status, data, content_type, keep_alive)
+
+    async def _write(
+        self, writer, status: int, data: bytes, content_type: str, keep_alive: bool
+    ) -> bool:
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
             f"Content-Type: {content_type}\r\n"

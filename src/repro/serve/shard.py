@@ -14,11 +14,12 @@ LRU-capped), ``wrap`` (a page sub-batch; a request carrying the optional
 ``trace`` frame field additionally returns per-page kernel stats as
 ``{"pages": [...], "kernel": [...]}`` and logs the client trace id --
 old daemons read only the keys they know, so the field degrades
-harmlessly), ``wrap_warm`` (``(html,
-doc_id)`` items against the daemon's per-document
-:class:`~repro.wrap.extraction.WrapperState` store -- the incremental
-warm path, state-local to this box), ``ping`` (health + stats), and
-``drain`` (operator-initiated graceful shutdown).
+harmlessly), ``wrap_warm`` (``(html, doc_id)`` items against the
+daemon's per-document :class:`~repro.wrap.extraction.WrapperState`
+store -- the incremental warm path, state-local to this box), ``ping``
+(health + stats), and ``drain`` (operator-initiated graceful shutdown).
+Pages travel back as flat output columns
+(:class:`~repro.wrap.output.FlatOutput`), never as nested trees.
 
 **Graceful drain** (``SIGTERM``, or a ``drain`` frame): the daemon stops
 accepting connections, pushes an unsolicited ``{"op": "drain"}`` notice
@@ -58,7 +59,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.errors import ServeError, WrapperNotResident
-from repro.serve.executor import _wrap_warm_against
+from repro.serve.executor import wrap_pages, wrap_warm_items
 from repro.serve.faults import FaultInjector, FaultPlan, log_fault_event
 from repro.serve.transport import (
     FrameError,
@@ -254,7 +255,7 @@ class ShardDaemon:
                 # the keys they know and answer the plain page list.
                 self.stats["traced_wraps"] = self.stats.get("traced_wraps", 0) + 1
                 result = await asyncio.get_running_loop().run_in_executor(
-                    self._pool, self._wrap_traced, key, pages
+                    self._pool, self._wrap, key, pages, True
                 )
                 log_fault_event(
                     "daemon_traced_wrap",
@@ -291,33 +292,15 @@ class ShardDaemon:
         self._wrappers.move_to_end(key)
         return wrapper
 
-    def _wrap(self, key: str, pages: List[str]) -> List[dict]:
+    def _wrap(self, key: str, pages: List[str], traced: bool = False):
         wrapper = self._resident(key)
-        if self.injector is not None:
-            self.injector.before_call(key, pages)
-        result = [out.to_dict() for out in wrapper.wrap_html_many(pages)]
-        if self.injector is not None:
-            result = self.injector.after_call(key, result)
-        return result
-
-    def _wrap_traced(self, key: str, pages: List[str]) -> dict:
-        wrapper = self._resident(key)
-        if self.injector is not None:
-            self.injector.before_call(key, pages)
-        traced = wrapper.wrap_html_traced(pages)
-        result = [out.to_dict() for out, _ in traced]
-        if self.injector is not None:
-            result = self.injector.after_call(key, result)
-        return {"pages": result, "kernel": [trace for _, trace in traced]}
+        return wrap_pages(wrapper, self.injector, key, pages, traced=traced)
 
     def _wrap_warm(self, key: str, items: List[Tuple[str, str]]) -> dict:
         wrapper = self._resident(key)
-        if self.injector is not None:
-            self.injector.before_call(key, [html for html, _ in items])
-        result = _wrap_warm_against(wrapper, self._states, key, items)
-        if self.injector is not None:
-            result["pages"] = self.injector.after_call(key, result["pages"])
-        return result
+        return wrap_warm_items(
+            wrapper, self.injector, self._states, key, items, self.state_cap
+        )
 
 
 class DaemonThread:

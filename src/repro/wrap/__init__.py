@@ -13,7 +13,8 @@ using the new labels and omitting nodes that have not been relabeled":
   HTML tokenizer);
 * :mod:`repro.wrap.output` -- output-tree construction (relabel, drop
   unlabeled nodes, reconnect through the ancestor closure, preserve
-  document order), from trees or straight from snapshot columns;
+  document order), from trees or straight from snapshot columns as the
+  flat preorder :class:`FlatOutput` the serving layer ships;
 * :mod:`repro.wrap.serialize` -- XML serialization of wrapped results;
 * :mod:`repro.wrap.visual` -- a programmatic simulation of the Lixto-style
   visual specification process of Section 6.2.
@@ -21,7 +22,13 @@ using the new labels and omitting nodes that have not been relabeled":
 
 from repro.wrap.document import Document
 from repro.wrap.extraction import Wrapper
-from repro.wrap.output import OutputNode, build_output_from_snapshot, build_output_tree
+from repro.wrap.output import (
+    FlatOutput,
+    OutputNode,
+    build_flat_output,
+    build_output_from_snapshot,
+    build_output_tree,
+)
 from repro.wrap.serialize import to_xml
 from repro.wrap.visual import VisualSession
 
@@ -29,6 +36,8 @@ __all__ = [
     "Wrapper",
     "Document",
     "OutputNode",
+    "FlatOutput",
+    "build_flat_output",
     "build_output_tree",
     "build_output_from_snapshot",
     "to_xml",

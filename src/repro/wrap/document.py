@@ -6,9 +6,9 @@ relational schema (plus the derived relations), but backed purely by a
 :class:`repro.trees.snapshot.TreeSnapshot` -- no :class:`Node` objects
 anywhere.  The propagation kernel binds to the snapshot directly; the
 general evaluation strategies read the relations computed from the
-columns; wrapped output trees are assembled by
-:func:`repro.wrap.output.build_output_from_snapshot` with text capture
-from the snapshot's text column.
+columns; wrapped outputs are assembled as flat preorder columns by
+:func:`repro.wrap.output.build_flat_output` with text capture from the
+snapshot's text column.
 
 This is the per-document payload of the streaming batch pipeline
 (:meth:`repro.wrap.extraction.Wrapper.wrap_html_many`): it is built in

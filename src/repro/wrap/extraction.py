@@ -21,8 +21,8 @@ Documents come in two representations, interchangeable everywhere:
   :class:`repro.structures.IndexedStructure`;
 * streaming :class:`repro.wrap.document.Document` facades -- snapshot
   columns straight from the HTML tokenizer events, **no Node objects**
-  -- whose outputs are assembled by
-  :func:`repro.wrap.output.build_output_from_snapshot`.
+  -- whose outputs are assembled as flat preorder columns by
+  :func:`repro.wrap.output.build_flat_output`.
 
 The batch entry points :meth:`Wrapper.extract_many` /
 :meth:`Wrapper.wrap_many` accept either representation, and
@@ -31,8 +31,11 @@ the streaming path end to end from raw HTML strings.  All four take
 ``workers=N`` to fan the batch out over a process pool: documents are
 independent, the compiled wrapper (plans plus kernel tables) is pickled
 once per worker, and each worker streams its documents locally -- for
-``wrap_html_many`` only the HTML strings and the flat output trees ever
-cross the process boundary.
+``wrap_html_many`` only the HTML strings and the flat output columns
+(:class:`repro.wrap.output.FlatOutput`) ever cross the process boundary.
+:meth:`Wrapper.wrap_html_flat` returns those columns as they are; the
+serving layer ships, caches and encodes them without ever building the
+nested tree.
 """
 
 from __future__ import annotations
@@ -60,8 +63,9 @@ from repro.trees.node import Node
 from repro.trees.unranked import UnrankedStructure
 from repro.wrap.document import Document
 from repro.wrap.output import (
+    FlatOutput,
     OutputNode,
-    build_output_from_snapshot,
+    build_flat_output,
     build_output_tree,
 )
 
@@ -352,30 +356,57 @@ class Wrapper:
         """Wrap raw HTML pages end to end on the streaming path.
 
         Each page goes HTML string -> tokenizer events -> snapshot columns
-        -> propagation kernel -> output tree, with **zero Node objects**
-        anywhere.  With ``workers=N`` the pages are sharded over a process
-        pool: only the HTML strings travel to the workers and only the
-        flat output trees travel back.
+        -> propagation kernel -> output columns -> output tree, with
+        **zero Node objects** anywhere.  With ``workers=N`` the pages are
+        sharded over a process pool: only the HTML strings travel to the
+        workers and only the flat output columns travel back.
+        """
+        return [
+            flat.to_tree()
+            for flat in self.wrap_html_flat(pages, root_label, workers=workers)
+        ]
+
+    def wrap_html_flat(
+        self,
+        pages: Sequence[str],
+        root_label: str = "result",
+        workers: Optional[int] = None,
+    ) -> List[FlatOutput]:
+        """:meth:`wrap_html_many` without materializing the trees.
+
+        Returns one :class:`~repro.wrap.output.FlatOutput` per page: the
+        output as preorder columns, which pickle flat and encode to the
+        nested JSON iteratively (what shards return and servers cache).
+
+        >>> from repro.datalog import parse_program
+        >>> w = Wrapper().add_datalog("item", parse_program(
+        ...     "item(x) :- label_li(x).", query="item"))
+        >>> [flat] = w.wrap_html_flat(["<ul><li>a<li>b</ul>"])
+        >>> len(flat), flat.to_tree().to_sexpr()
+        (3, 'result(item, item)')
         """
         self.compile()
         if _parallel(workers):
             return self._fanout(_job_wrap_html, list(pages), workers, root_label)
-        return [
-            self._wrap_structure(as_indexed(Document.from_html(page)), root_label)
-            for page in pages
-        ]
+        outputs: List[FlatOutput] = []
+        for page in pages:
+            runtime = as_indexed(Document.from_html(page))
+            results = self._extract_structure(runtime)
+            outputs.append(self._flat_output(runtime.base, results, root_label))
+        return outputs
 
     def wrap_html_traced(
         self,
         pages: Sequence[str],
         root_label: str = "result",
-    ) -> List[Tuple[OutputNode, Dict]]:
+    ) -> List[Tuple[FlatOutput, Dict]]:
         """Wrap raw HTML pages while timing each stage of the work.
 
-        Returns one ``(output, trace)`` pair per page, where ``trace``
-        is the cheap stats payload shards ship back over the RPC
-        protocol so the client can graft ``snapshot.build`` /
-        ``kernel.run`` spans into the request trace (see
+        Returns one ``(output, trace)`` pair per page -- ``output`` as
+        :meth:`wrap_html_flat` columns -- where ``trace`` is the cheap
+        stats payload shards ship back over the RPC protocol so the
+        client can graft ``snapshot.build`` / ``kernel.run`` spans into
+        the request trace (see
         :meth:`repro.serve.tracing.Span.graft_kernel_stats`)::
 
             {"snapshot_build_ms": float,   # HTML -> columnar snapshot
@@ -385,13 +416,13 @@ class Wrapper:
         Each ``runs`` entry is an :attr:`EvaluationResult.stats` dict
         (engine, rounds, facts, frontier_widths, fallback).  No Span
         objects are built here -- just counters and two clock reads per
-        page, so the overhead over :meth:`wrap_html_many` is noise.
+        page, so the overhead over :meth:`wrap_html_flat` is noise.
 
         >>> from repro.datalog import parse_program
         >>> w = Wrapper().add_datalog("item", parse_program(
         ...     "item(x) :- label_li(x).", query="item"))
         >>> [(out, trace)] = w.wrap_html_traced(["<ul><li>a<li>b</ul>"])
-        >>> out.to_sexpr()
+        >>> out.to_tree().to_sexpr()
         'result(item, item)'
         >>> trace["runs"][0]["engine"] in ("frontier", "worklist")
         True
@@ -399,7 +430,7 @@ class Wrapper:
         True
         """
         self.compile()
-        out: List[Tuple[OutputNode, Dict]] = []
+        out: List[Tuple[FlatOutput, Dict]] = []
         for page in pages:
             started = time.perf_counter()
             runtime = as_indexed(Document.from_html(page))
@@ -408,7 +439,8 @@ class Wrapper:
             runtime.base.snapshot()
             built = time.perf_counter()
             runs: List[Dict] = []
-            output = self._wrap_structure(runtime, root_label, collect=runs)
+            results = self._extract_structure(runtime, collect=runs)
+            output = self._flat_output(runtime.base, results, root_label)
             finished = time.perf_counter()
             out.append(
                 (
@@ -432,8 +464,9 @@ class Wrapper:
 
         ``prior`` is the :class:`WrapperState` returned by this method for
         an earlier version of the *same* document (``None`` starts cold).
-        Returns ``(output, state, stats)``: the output tree, the state to
-        feed the next version, and a stats dict -- ``stats["warm"]`` is
+        Returns ``(output, state, stats)``: the output as
+        :meth:`wrap_html_flat` columns, the state to feed the next
+        version, and a stats dict -- ``stats["warm"]`` is
         true when at least one plan reused the previous fixpoint
         (``engine`` starting with ``"incremental"``), and ``dirty`` /
         ``dirty_fraction`` report the largest diff any plan saw.  Plans
@@ -444,11 +477,11 @@ class Wrapper:
         >>> w = Wrapper().add_datalog("item", parse_program(
         ...     "item(x) :- label_li(x).", query="item"))
         >>> out, state, stats = w.wrap_html_stateful("<ul><li>a<li>b</ul>")
-        >>> out.to_sexpr(), stats["warm"]
+        >>> out.to_tree().to_sexpr(), stats["warm"]
         ('result(item, item)', False)
         >>> out, state, stats = w.wrap_html_stateful(
         ...     "<ul><li>a<li>c</ul>", prior=state)
-        >>> out.to_sexpr(), stats["warm"]
+        >>> out.to_tree().to_sexpr(), stats["warm"]
         ('result(item, item)', True)
         """
         self.compile()
@@ -487,13 +520,7 @@ class Wrapper:
             ids = run.unary(pred)
             known = results.get(name)
             results[name] = ids if known is None else known | ids
-        assignment: Dict[int, str] = {}
-        for name in self.names():
-            for ident in results.get(name, ()):
-                assignment.setdefault(ident, name)
-        output = build_output_from_snapshot(
-            runtime.base.snapshot(), assignment, root_label=root_label
-        )
+        output = self._flat_output(runtime.base, results, root_label)
         stats = {
             "warm": any(e.startswith("incremental") for e in engines),
             "engines": engines,
@@ -522,24 +549,30 @@ class Wrapper:
         self,
         structure: IndexedStructure,
         root_label: str,
-        collect: Optional[List[Dict]] = None,
     ) -> OutputNode:
-        results = self._extract_structure(structure, collect=collect)
+        results = self._extract_structure(structure)
         base = structure.base
         if isinstance(base, Document):
-            assignment: Dict[int, str] = {}
-            for name in self.names():
-                for ident in results.get(name, ()):
-                    assignment.setdefault(ident, name)
-            return build_output_from_snapshot(
-                base.snapshot(), assignment, root_label=root_label
-            )
+            return self._flat_output(base, results, root_label).to_tree()
         node_assignment: Dict[int, str] = {}
         for name in self.names():
             for ident in results.get(name, ()):
                 node_assignment.setdefault(id(structure.node(ident)), name)
         return build_output_tree(
             structure.root_node, node_assignment, root_label=root_label
+        )
+
+    def _flat_output(
+        self, document: Document, results: Dict[str, Set[int]], root_label: str
+    ) -> FlatOutput:
+        """Relabel the extraction results (earliest-added name wins) and
+        assemble them as output columns over the document's snapshot."""
+        assignment: Dict[int, str] = {}
+        for name in self.names():
+            for ident in results.get(name, ()):
+                assignment.setdefault(ident, name)
+        return build_flat_output(
+            document.snapshot(), assignment, root_label=root_label
         )
 
     def _fanout(self, job, items: list, workers: int, root_label: Optional[str]) -> list:
@@ -567,9 +600,9 @@ def _pool_init(wrapper: Wrapper, root_label: Optional[str]) -> None:
     _POOL_STATE = (wrapper, root_label)
 
 
-def _job_wrap_html(page: str) -> OutputNode:
+def _job_wrap_html(page: str) -> FlatOutput:
     wrapper, root_label = _POOL_STATE
-    return wrapper.wrap_html_many([page], root_label=root_label)[0]
+    return wrapper.wrap_html_flat([page], root_label=root_label)[0]
 
 
 def _job_extract_html(page: str) -> Dict[str, Set[int]]:

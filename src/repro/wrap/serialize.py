@@ -21,7 +21,8 @@ def _escape(text: str) -> str:
 
 
 def to_xml(node: OutputNode, indent: int = 0) -> str:
-    """Pretty-print a wrapped output tree as XML.
+    """Pretty-print a wrapped output tree as XML (iteratively, so any
+    depth renders).
 
     >>> from repro.wrap.output import OutputNode
     >>> root = OutputNode("result")
@@ -43,14 +44,23 @@ def to_xml(node: OutputNode, indent: int = 0) -> str:
       <item>say "hi" &amp; don't &lt;wave&gt;</item>
     </result>
     """
-    pad = "  " * indent
-    tag = node.label
-    if not node.children and node.text is None:
-        return f"{pad}<{tag}/>"
-    if not node.children:
-        return f"{pad}<{tag}>{_escape(node.text or '')}</{tag}>"
-    lines: List[str] = [f"{pad}<{tag}>"]
-    for child in node.children:
-        lines.append(to_xml(child, indent + 1))
-    lines.append(f"{pad}</{tag}>")
+    lines: List[str] = []
+    #: Output nodes still to render, and closing tags still to write.
+    stack: list = [(node, indent)]
+    while stack:
+        item, depth = stack.pop()
+        pad = "  " * depth
+        if isinstance(item, str):
+            lines.append(f"{pad}</{item}>")
+            continue
+        tag = item.label
+        if not item.children:
+            if item.text is None:
+                lines.append(f"{pad}<{tag}/>")
+            else:
+                lines.append(f"{pad}<{tag}>{_escape(item.text)}</{tag}>")
+            continue
+        lines.append(f"{pad}<{tag}>")
+        stack.append((tag, depth))
+        stack.extend((child, depth + 1) for child in reversed(item.children))
     return "\n".join(lines)

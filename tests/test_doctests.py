@@ -24,6 +24,7 @@ import repro.serve.faults
 import repro.serve.metrics
 import repro.serve.registry
 import repro.serve.ring
+import repro.serve.server
 import repro.serve.supervisor
 import repro.serve.transport
 import repro.caterpillar.rewrite
@@ -73,6 +74,7 @@ MODULES = [
     repro.serve.metrics,
     repro.serve.registry,
     repro.serve.ring,
+    repro.serve.server,
     repro.serve.supervisor,
     repro.serve.transport,
     repro.wrap.extraction,

@@ -197,7 +197,7 @@ class TestShardExecutor:
             # Installs are idempotent: no new futures the second time.
             assert executor.ensure_installed("k", wrapper) == []
             result = executor.submit(0, "k", ["<ul><li>a</ul>"]).result(timeout=10)
-            assert result[0]["children"][0]["label"] == "item"
+            assert result[0].to_tree().children[0].label == "item"
         finally:
             executor.close()
 
@@ -227,7 +227,7 @@ class TestShardExecutor:
                 except Exception:
                     time.sleep(0.05)
             assert healed
-            assert out[0]["children"][0]["label"] == "item"
+            assert out[0].to_tree().children[0].label == "item"
         finally:
             executor.close()
 
@@ -246,7 +246,7 @@ class TestShardExecutor:
             for future in executor.ensure_installed("k1", wrapper):
                 future.result(timeout=10)
             out = executor.submit(0, "k1", ["<ul><li>x</ul>"]).result(timeout=10)
-            assert out[0]["children"][0]["label"] == "item"
+            assert out[0].to_tree().children[0].label == "item"
         finally:
             executor.close()
 

@@ -42,6 +42,8 @@ from repro.serve import (
 )
 from repro.serve.faults import FaultInjector, validate_shard_result
 from repro.serve.supervisor import ShardSupervisor
+from repro.trees.stream import html_snapshot
+from repro.wrap.output import FlatOutput, build_flat_output
 from tests.test_serve import request
 
 ITEM_DATALOG = "item(x) :- label_li(x)."
@@ -141,13 +143,23 @@ class TestFaultPlan:
         assert [e["call"] for e in events] == [2, 3, 4, 6]
 
     def test_validate_shard_result_rejects_corruption(self):
-        assert validate_shard_result([{"a": 1}, {"b": 2}], 2) == [{"a": 1}, {"b": 2}]
+        a = build_flat_output(html_snapshot("<ul><li>a</ul>"), {1: "item"})
+        b = build_flat_output(html_snapshot("<p>b</p>"), {})
+        assert validate_shard_result([a, b], 2) == [a, b]
         with pytest.raises(ShardCrashed):
-            validate_shard_result([{"a": 1}], 2)  # wrong length
+            validate_shard_result([a], 2)  # wrong length
         with pytest.raises(ShardCrashed):
             validate_shard_result("garbage", 1)  # not a list
         with pytest.raises(ShardCrashed):
-            validate_shard_result([{"__corrupt__": True}], 1)  # marked
+            validate_shard_result([{"__corrupt__": True}], 1)  # not columns
+        torn = FlatOutput(a.labels, a.label_ids, a.source_ids[:1], a.parents, {})
+        with pytest.raises(ShardCrashed):
+            validate_shard_result([torn], 1)  # columns of unequal length
+        # What the injector actually returns on a corrupt_every call.
+        injector = FaultInjector(FaultPlan(corrupt_every=1), hard=False)
+        injector.before_call("k", ["page"])
+        with pytest.raises(ShardCrashed):
+            validate_shard_result(injector.after_call("k", [a]), 1)
 
 
 class TestQuarantine:
@@ -259,8 +271,8 @@ class TestBatcherUnderFaults:
                 # shard call is bisected until only the poison page fails.
                 outcomes = await asyncio.gather(*(one(p) for p in innocents + [poison]))
                 for outcome in outcomes[:4]:
-                    assert isinstance(outcome, dict), outcome
-                    assert outcome["children"][0]["label"] == "item"
+                    assert isinstance(outcome, FlatOutput), outcome
+                    assert outcome.to_tree().children[0].label == "item"
                 assert isinstance(outcomes[4], ShardCrashed)
                 assert metrics.snapshot()["counters"]["bisections"] >= 1
 
