@@ -899,13 +899,19 @@ def _assert_remote_path_exercised() -> None:
                 ):
                     await future
                 page = catalog_page(seed=7, items=3)
-                return await executor.submit(0, entry.cache_key, [page])
+                return await executor.submit(
+                    0, entry.cache_key, [(page, None)]
+                )
             finally:
                 await executor.aclose()
 
         results = asyncio.run(probe())
         pages = daemon.daemon.stats["pages"]
-        if RemoteShardExecutor.mode != "remote" or pages < 1 or not results:
+        if (
+            RemoteShardExecutor.mode != "remote"
+            or pages < 1
+            or not results.get("pages")
+        ):
             raise SystemExit(
                 "remote shard path no longer exercised: daemon served "
                 f"{pages} pages and the executor returned {results!r}"

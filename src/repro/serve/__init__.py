@@ -14,7 +14,10 @@ four pieces, each usable on its own:
   pool of single-worker process shards (generalizing the per-call
   ``workers=`` fan-out of the batch APIs); each compiled wrapper is
   pickled to a shard exactly once and documents are routed to shards by
-  content hash;
+  content hash (by ``doc_id`` hash on the incremental warm path).  Every
+  shard hosts one :class:`~repro.serve.executor.ShardRuntime` with a
+  single operation, ``wrap(key, items)`` over ``(html, doc_id | None)``
+  items, which returns the output columns and a stats dict per page;
 * :mod:`repro.serve.batcher` -- :class:`MicroBatcher`: coalesces
   concurrent single-document requests into kernel batches (flush on size
   or deadline), dedupes identical documents inside a batch, and fronts
@@ -39,8 +42,10 @@ used by the chaos tests and the CI chaos jobs.
 
 The cluster layer (``repro.serve.shard`` / ``repro.serve.transport`` /
 ``repro.serve.ring``) extends the same machinery across boxes: shard
-daemons (``python -m repro.serve.shard --listen host:port``) speak a
-length-prefixed frame protocol, :class:`RemoteShardExecutor` maps every
+daemons (``python -m repro.serve.shard --listen host:port``) host the
+same runtime and speak a length-prefixed frame protocol with one
+``wrap`` op (routers and daemons upgrade together),
+:class:`RemoteShardExecutor` maps every
 transport failure onto the error taxonomy above (so retries, breakers
 and quarantine apply unchanged), and a consistent-hash :class:`HashRing`
 in the supervisor routes keys with minimal movement under membership
@@ -49,9 +54,8 @@ change -- a dead or draining daemon moves only its own key interval.
 Observability (``repro.serve.tracing`` / ``repro.serve.metrics``): every
 request gets a :class:`~repro.serve.tracing.Span` tree --
 ``http.request`` down through batcher queueing, ring routing, shard RPC,
-and the kernel run itself (engine, rounds, fallback reason), with remote
-daemons shipping kernel stats back over an optional trace frame field
-that old daemons simply ignore.  A bounded :class:`Tracer` retains
+and the kernel run itself (engine, rounds, fallback reason), from the
+per-page stats every shard call returns.  A bounded :class:`Tracer` retains
 recent traces plus slow/error exemplars behind ``GET /debug/traces``;
 :class:`ServeMetrics` keeps fixed-bucket latency histograms per stage
 and per wrapper version, exported as JSON (``/metrics``) or Prometheus

@@ -40,8 +40,8 @@ Fault tolerance (see also :mod:`repro.serve.supervisor`):
   with the retryable :class:`~repro.errors.RequestTimeout`, so one hung
   evaluation can never wedge a coalesced batch;
 * shard results are validated (one well-formed
-  :class:`~repro.wrap.output.FlatOutput` per page); corruption is
-  treated as a crash;
+  :class:`~repro.wrap.output.FlatOutput` and one stats dict per page);
+  corruption is treated as a crash;
 * when a *multi-document* shard call crashes, the batch is **bisected**
   and the halves re-submitted, isolating the offending document(s):
   innocent batch-mates still succeed, and each single-document crash
@@ -74,11 +74,7 @@ from repro.errors import (
 )
 from repro.serve.cache import ResultCache
 from repro.serve.executor import ShardExecutor, content_hash
-from repro.serve.faults import (
-    validate_shard_result,
-    validate_traced_result,
-    validate_warm_result,
-)
+from repro.serve.faults import validate_shard_result
 from repro.serve.metrics import ServeMetrics
 from repro.serve.registry import RegisteredWrapper
 from repro.serve.supervisor import Quarantine, ShardSupervisor
@@ -179,10 +175,22 @@ class MicroBatcher:
         self,
         entry: RegisteredWrapper,
         html: str,
+        doc_id: Optional[str] = None,
         timeout: Optional[float] = None,
         span: Optional[Span] = None,
     ) -> FlatOutput:
         """One document through the coalescing queue; returns its output.
+
+        ``doc_id`` names the document across versions (a URL, a crawl
+        key) and selects the incremental warm path: the request is routed
+        by ``content_hash(doc_id)`` -- not by document content -- so every
+        version of one document lands on the shard holding its previous
+        snapshot + derived masks.  A state miss (first visit, evicted
+        state, respawned worker) is simply a cold run on the shard, so
+        the path is always correct; the exact-match result cache still
+        short-circuits unchanged re-crawls before any shard is touched.
+        ``doc_id`` requests skip the coalescing queue: re-crawl traffic
+        is per-document serial, so there is nothing to coalesce with.
 
         ``timeout`` bounds each *shard call* this document participates
         in; a call that exceeds it kills the hung worker and fails with
@@ -205,19 +213,22 @@ class MicroBatcher:
                 f"serving queue full ({self._pending}/{self.max_pending} documents)"
             )
         queue = self._queues.get(entry.cache_key)
-        if self._pending < self.bypass_concurrency and (
+        bypass = self._pending < self.bypass_concurrency and (
             queue is None or not queue.items
-        ):
+        )
+        if doc_id is not None or bypass:
             # Below the concurrency threshold coalescing cannot help (there
             # is nothing to coalesce with) and the flush delay is pure
             # latency: evaluate immediately on this task, skipping the
-            # queue -- one document, one shard, one future.
-            self._metrics.incr("bypassed")
+            # queue -- one document, one shard, one future.  ``bypassed``
+            # counts only that adaptive decision, not doc_id requests.
+            if doc_id is None:
+                self._metrics.incr("bypassed")
             self._pending += 1
             try:
                 outcome = (
                     await self._evaluate(
-                        entry, [(html, doc_hash)], timeout, span=span
+                        entry, [(html, doc_hash, doc_id)], timeout, span=span
                     )
                 )[0]
             finally:
@@ -241,161 +252,6 @@ class MicroBatcher:
                 self.max_delay, self._schedule_flush, entry.cache_key
             )
         return await future
-
-    async def submit_warm(
-        self,
-        entry: RegisteredWrapper,
-        html: str,
-        doc_id: str,
-        timeout: Optional[float] = None,
-        span: Optional[Span] = None,
-    ) -> FlatOutput:
-        """One document through the incremental warm path.
-
-        ``doc_id`` names the document across versions (a URL, a crawl
-        key); requests are routed by ``content_hash(doc_id)`` -- not by
-        document content -- so every version of one document lands on
-        the shard process holding its previous snapshot + derived masks.
-        A state miss (first visit, evicted state, respawned worker) is
-        simply a cold run on the shard, so the path is always correct;
-        the exact-match result cache still short-circuits unchanged
-        re-crawls before any shard is touched.  Warm requests bypass the
-        coalescing queue: re-crawl traffic is per-document serial, and a
-        coalesced batch would route by content instead of by ``doc_id``.
-        """
-        doc_hash = (await self._content_hashes([html]))[0]
-        self.quarantine.check(doc_hash)
-        hit = self._cache.get((entry.cache_key, doc_hash))
-        if hit is not None:
-            self._metrics.incr("cache_hits")
-            return hit
-        if self._pending >= self.max_pending:
-            self._metrics.incr("rejected")
-            raise ServerOverloaded(
-                f"serving queue full ({self._pending}/{self.max_pending} documents)"
-            )
-        self._metrics.incr("cache_misses")
-        self._pending += 1
-        try:
-            route_span = span.child("ring.route") if span is not None else None
-            shard = self._route(content_hash(doc_id))
-            if route_span is not None:
-                route_span.tag(
-                    shard=shard,
-                    rerouted=bool(
-                        self.supervisor is not None
-                        and self.supervisor.last_route_rerouted
-                    ),
-                )
-                route_span.finish()
-            try:
-                payload = await self._call_warm(
-                    entry, shard, html, doc_id, timeout, span=span
-                )
-            except RetryableServeError as exc:
-                if self.supervisor is not None:
-                    self.supervisor.record_failure(shard)
-                if isinstance(exc, ShardCrashed) and not exc.blameless:
-                    if self.quarantine.strike(doc_hash):
-                        self._metrics.incr("quarantined")
-                    if span is not None:
-                        span.tag(
-                            quarantine_strikes=span.tags.get(
-                                "quarantine_strikes", 0
-                            )
-                            + 1
-                        )
-                raise
-            if self.supervisor is not None:
-                self.supervisor.record_success(shard)
-            self.quarantine.absolve(doc_hash)
-            self._cache.put((entry.cache_key, doc_hash), payload, weight=len(html))
-            self._metrics.incr("documents")
-            return payload
-        finally:
-            self._pending -= 1
-
-    async def _call_warm(
-        self,
-        entry: RegisteredWrapper,
-        shard: int,
-        html: str,
-        doc_id: str,
-        timeout: Optional[float],
-        span: Optional[Span] = None,
-    ) -> FlatOutput:
-        """One bounded warm shard call (mirrors ``_call_once``).
-
-        Validates the ``{"pages", "stats"}`` payload and feeds the reuse
-        stats into the incremental metrics before returning the single
-        page's output.  The ``shard.call`` span is tagged with the
-        warm/engines/dirty reuse stats (warm calls carry no per-stage
-        shard timings; the engines list still names the kernel used)."""
-        call_span = (
-            span.child("shard.call", shard=shard, pages=1, warm=True)
-            if span is not None
-            else None
-        )
-        try:
-            try:
-                try:
-                    installs = self._executor.ensure_installed(
-                        entry.cache_key, entry.wrapper, shard=shard
-                    )
-                    for install in installs:
-                        await asyncio.wait_for(
-                            asyncio.wrap_future(install), timeout
-                        )
-                    submission = self._executor.submit_warm(
-                        shard, entry.cache_key, [(html, doc_id)]
-                    )
-                except ShardCrashed as exc:
-                    exc.blameless = True
-                    raise
-                except BrokenExecutor:
-                    crash = ShardCrashed(
-                        "shard worker died before this batch was submitted; "
-                        "shard respawned, retry the request"
-                    )
-                    crash.blameless = True
-                    raise crash from None
-                result = await asyncio.wait_for(
-                    asyncio.wrap_future(submission), timeout
-                )
-            except asyncio.TimeoutError:
-                self._metrics.incr("timeouts")
-                self._executor.kill_shard(shard)
-                raise RequestTimeout(
-                    f"shard call exceeded its {timeout:.3f}s budget; "
-                    "worker killed and respawned, retry the request"
-                ) from None
-            except BrokenExecutor:
-                raise ShardCrashed(
-                    "shard worker died under this request; "
-                    "shard respawned, retry the request"
-                ) from None
-            pages, stats = validate_warm_result(result, 1)
-        except BaseException as exc:
-            if call_span is not None:
-                call_span.fail(f"{type(exc).__name__}: {exc}")
-            raise
-        for stat in stats:
-            if stat.get("warm"):
-                self._metrics.incr("incremental_hits")
-                fraction = stat.get("dirty_fraction")
-                if fraction is not None:
-                    self._metrics.observe_dirty(fraction)
-            else:
-                self._metrics.incr("incremental_misses")
-        if call_span is not None:
-            stat = stats[0]
-            call_span.tag(
-                warm=bool(stat.get("warm")),
-                engines=stat.get("engines"),
-                dirty_fraction=stat.get("dirty_fraction"),
-            )
-            call_span.finish()
-        return pages[0]
 
     async def run_batch(
         self,
@@ -428,7 +284,10 @@ class MicroBatcher:
         try:
             hashes = await self._content_hashes(pages)
             outcomes = await self._evaluate(
-                entry, list(zip(pages, hashes)), timeout, span=span
+                entry,
+                [(page, doc_hash, None) for page, doc_hash in zip(pages, hashes)],
+                timeout,
+                span=span,
             )
         finally:
             self._pending -= len(pages)
@@ -511,7 +370,7 @@ class MicroBatcher:
         try:
             outcomes = await self._evaluate(
                 queue.entry,
-                [(html, doc_hash) for html, doc_hash, _, _, _, _ in items],
+                [(html, doc_hash, None) for html, doc_hash, _, _, _, _ in items],
                 timeout,
                 span=flush_span,
             )
@@ -534,19 +393,21 @@ class MicroBatcher:
     async def _evaluate(
         self,
         entry: RegisteredWrapper,
-        docs: Sequence[Tuple[str, str]],
+        docs: Sequence[Tuple[str, str, Optional[str]]],
         timeout: Optional[float] = None,
         span: Optional[Span] = None,
     ) -> List[Outcome]:
-        """Resolve ``(html, hash)`` docs to per-document outcomes, via the
-        cache, with in-batch dedup and one submission per healthy shard.
+        """Resolve ``(html, hash, doc_id | None)`` docs to per-document
+        outcomes, via the cache, with in-batch dedup and one submission
+        per healthy shard.  A doc with a ``doc_id`` is routed by the
+        hash of its ``doc_id``, every other doc by its content hash.
 
         ``span`` is the parent for ``ring.route`` / ``shard.call``
         children: the request's root span on the bypass path, the shared
         ``batch.flush`` span for a coalesced flush."""
         results: List[Optional[Outcome]] = [None] * len(docs)
         misses: Dict[str, List[int]] = {}
-        for index, (_, doc_hash) in enumerate(docs):
+        for index, (_, doc_hash, _) in enumerate(docs):
             if self.quarantine.is_quarantined(doc_hash):
                 self._metrics.incr("poison_rejected")
                 results[index] = PoisonDocument(
@@ -567,10 +428,15 @@ class MicroBatcher:
                 "cache_misses", sum(len(indexes) for indexes in misses.values())
             )
             route_span = span.child("ring.route") if span is not None else None
+            # The shard item of each distinct missed document.
+            items_by_hash: Dict[str, Tuple[str, Optional[str]]] = {}
             by_shard: Dict[int, List[str]] = {}
             rerouted = 0
-            for doc_hash in misses:
-                by_shard.setdefault(self._route(doc_hash), []).append(doc_hash)
+            for doc_hash, indexes in misses.items():
+                html, _, doc_id = docs[indexes[0]]
+                items_by_hash[doc_hash] = (html, doc_id)
+                routing_hash = doc_hash if doc_id is None else content_hash(doc_id)
+                by_shard.setdefault(self._route(routing_hash), []).append(doc_hash)
                 if (
                     self.supervisor is not None
                     and self.supervisor.last_route_rerouted
@@ -579,11 +445,10 @@ class MicroBatcher:
             if route_span is not None:
                 route_span.tag(shards=sorted(by_shard), rerouted=rerouted)
                 route_span.finish()
-            pages_by_hash = {h: docs[indexes[0]][0] for h, indexes in misses.items()}
             groups = await asyncio.gather(
                 *(
                     self._call_group(
-                        entry, shard, hashes, pages_by_hash, timeout, span=span
+                        entry, shard, hashes, items_by_hash, timeout, span=span
                     )
                     for shard, hashes in by_shard.items()
                 )
@@ -594,7 +459,7 @@ class MicroBatcher:
                         self._cache.put(
                             (entry.cache_key, doc_hash),
                             outcome,
-                            weight=len(pages_by_hash[doc_hash]),
+                            weight=len(items_by_hash[doc_hash][0]),
                         )
                     for index in misses[doc_hash]:
                         results[index] = outcome
@@ -606,7 +471,7 @@ class MicroBatcher:
         entry: RegisteredWrapper,
         shard: int,
         hashes: List[str],
-        pages_by_hash: Dict[str, str],
+        items_by_hash: Dict[str, Tuple[str, Optional[str]]],
         timeout: Optional[float],
         span: Optional[Span] = None,
     ) -> Dict[str, Outcome]:
@@ -619,10 +484,10 @@ class MicroBatcher:
         failing.  A single-document crash earns a quarantine strike.
         Each attempt (including bisection halves) opens its own
         ``shard.call`` child span, so retries are visible per trace."""
-        pages = [pages_by_hash[h] for h in hashes]
+        items = [items_by_hash[h] for h in hashes]
         try:
             payloads = await self._call_once(
-                entry, shard, pages, timeout, span=span
+                entry, shard, items, timeout, span=span
             )
         except RetryableServeError as exc:
             if self.supervisor is not None:
@@ -647,10 +512,10 @@ class MicroBatcher:
             self._metrics.incr("bisections")
             mid = len(hashes) // 2
             left = await self._call_group(
-                entry, shard, hashes[:mid], pages_by_hash, timeout, span=span
+                entry, shard, hashes[:mid], items_by_hash, timeout, span=span
             )
             right = await self._call_group(
-                entry, shard, hashes[mid:], pages_by_hash, timeout, span=span
+                entry, shard, hashes[mid:], items_by_hash, timeout, span=span
             )
             left.update(right)
             return left
@@ -666,7 +531,7 @@ class MicroBatcher:
         self,
         entry: RegisteredWrapper,
         shard: int,
-        pages: List[str],
+        items: List[Tuple[str, Optional[str]]],
         timeout: Optional[float],
         span: Optional[Span] = None,
     ) -> List[FlatOutput]:
@@ -679,20 +544,14 @@ class MicroBatcher:
         ``blameless`` so an innocent document retrying into a pool that
         an *earlier* crash broke does not accumulate quarantine strikes.
 
-        With ``span`` set the submission goes through ``submit_traced``:
-        the shard ships per-page kernel stats back and they are grafted
-        into the ``shard.call`` child span as ``snapshot.build`` /
-        ``kernel.run`` spans.  An executor without ``submit_traced`` (or
-        a remote daemon that ignores the trace frame field) degrades to
-        a transport-only span tagged ``degraded``."""
+        The per-item stats the shard ships back are grafted into the
+        ``shard.call`` child span as ``snapshot.build`` / ``kernel.run``
+        spans.  Items with a ``doc_id`` also feed the incremental reuse
+        metrics and tag the span with ``warm`` / ``engines`` /
+        ``dirty_fraction``."""
         call_span = (
-            span.child("shard.call", shard=shard, pages=len(pages))
+            span.child("shard.call", shard=shard, pages=len(items))
             if span is not None
-            else None
-        )
-        submit_traced = (
-            getattr(self._executor, "submit_traced", None)
-            if call_span is not None
             else None
         )
         try:
@@ -705,17 +564,14 @@ class MicroBatcher:
                         await asyncio.wait_for(
                             asyncio.wrap_future(install), timeout
                         )
-                    if submit_traced is not None:
-                        submission = submit_traced(
-                            shard,
-                            entry.cache_key,
-                            pages,
-                            trace={"trace_id": span.tags.get("trace_id")},
-                        )
-                    else:
-                        submission = self._executor.submit(
-                            shard, entry.cache_key, pages
-                        )
+                    submission = self._executor.submit(
+                        shard,
+                        entry.cache_key,
+                        items,
+                        trace_id=(
+                            span.tags.get("trace_id") if span is not None else None
+                        ),
+                    )
                 except ShardCrashed as exc:
                     exc.blameless = True
                     raise
@@ -743,21 +599,29 @@ class MicroBatcher:
                     "shard worker died under this request; "
                     "shard respawned, retry the request"
                 ) from None
-            if submit_traced is not None:
-                payloads, kernel = validate_traced_result(result, len(pages))
-            else:
-                payloads, kernel = validate_shard_result(result, len(pages)), None
+            payloads, stats = validate_shard_result(result, len(items))
         except BaseException as exc:
             if call_span is not None:
                 call_span.fail(f"{type(exc).__name__}: {exc}")
             raise
+        for (_, doc_id), stat in zip(items, stats):
+            if doc_id is None:
+                continue
+            if stat.get("warm"):
+                self._metrics.incr("incremental_hits")
+                fraction = stat.get("dirty_fraction")
+                if fraction is not None:
+                    self._metrics.observe_dirty(fraction)
+            else:
+                self._metrics.incr("incremental_misses")
+            if call_span is not None:
+                call_span.tag(
+                    warm=bool(stat.get("warm")),
+                    engines=stat.get("engines"),
+                    dirty_fraction=stat.get("dirty_fraction"),
+                )
         if call_span is not None:
-            if kernel is not None:
-                for trace in kernel:
-                    call_span.graft_kernel_stats(trace)
-            elif submit_traced is not None:
-                # The responder answered the untraced shape: an old
-                # daemon that ignored the trace frame field.
-                call_span.tag(degraded="untraced_shard")
+            for stat in stats:
+                call_span.graft_kernel_stats(stat)
             call_span.finish()
         return payloads

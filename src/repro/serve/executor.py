@@ -5,9 +5,12 @@ call; a server cannot afford that.  :class:`ShardExecutor` owns a fixed
 set of *shards* -- each a single-worker ``ProcessPoolExecutor`` -- that
 live for the whole server lifetime.  A compiled wrapper is pickled and
 installed into each shard exactly once (plans + kernel tables, a few KB);
-after that, only HTML strings travel to a shard and only flat output
-columns (:class:`~repro.wrap.output.FlatOutput`, a few arrays per page)
-travel back.
+after that, only ``(html, doc_id | None)`` items travel to a shard and
+only flat output columns (:class:`~repro.wrap.output.FlatOutput`, a few
+arrays per page) plus a small stats dict per page travel back.  Every
+shard flavour -- process, inline, and the remote daemon of
+:mod:`repro.serve.shard` -- hosts the same :class:`ShardRuntime` and
+its single ``wrap`` operation.
 
 Documents are routed to shards by content hash, so identical documents
 always land on the same shard and a multi-document batch splits into at
@@ -36,7 +39,13 @@ from repro.errors import (
     ShardCrashed,
     WrapperNotResident,
 )
-from repro.serve.faults import FAULTS_ENV, FaultInjector, FaultPlan, release_hangs
+from repro.serve.faults import (
+    FAULTS_ENV,
+    FaultInjector,
+    FaultPlan,
+    process_injector,
+    release_hangs,
+)
 from repro.wrap.extraction import Wrapper, WrapperState
 from repro.wrap.output import FlatOutput
 
@@ -46,29 +55,11 @@ def content_hash(html: str) -> str:
     return hashlib.sha256(html.encode("utf-8", "surrogatepass")).hexdigest()
 
 
-#: Per-worker-process wrapper store, populated by :func:`_shard_install`.
-_SHARD_WRAPPERS: Dict[str, Wrapper] = {}
-
-#: Per-worker-process snapshot cache for the incremental warm path:
-#: ``(wrapper key, doc_id) -> WrapperState`` (the previous version's
-#: snapshot + derived kernel masks), LRU-bounded.  Worker death loses
-#: the states, which is always safe -- a state miss is just a cold run.
-_SHARD_STATES: "OrderedDict[Tuple[str, str], WrapperState]" = OrderedDict()
-
-#: Cap on retained per-document states per worker process.  A state
-#: holds one snapshot (columns + payloads, roughly the document's size in
-#: memory), so this bounds worker memory like ``max_installed`` bounds
-#: resident wrappers.
+#: Cap on retained per-document states per shard.  A state holds one
+#: snapshot (columns + payloads, roughly the document's size in memory),
+#: so this bounds shard memory like ``max_installed`` bounds resident
+#: wrappers.
 _STATE_CAP = 128
-
-
-def _shard_install(key: str, wrapper: Wrapper) -> bool:
-    _SHARD_WRAPPERS[key] = wrapper
-    return True
-
-
-def _shard_uninstall(key: str) -> bool:
-    return _SHARD_WRAPPERS.pop(key, None) is not None
 
 
 def _shard_ping() -> bool:
@@ -76,100 +67,109 @@ def _shard_ping() -> bool:
     return True
 
 
-def _resident(wrappers: Dict[str, Wrapper], key: str) -> Wrapper:
-    wrapper = wrappers.get(key)
-    if wrapper is None:
-        # Retryable: the wrapper was evicted or the worker was respawned;
-        # the next attempt re-installs it via ensure_installed.
-        raise WrapperNotResident(
-            f"wrapper {key!r} is not resident on this shard; retry the request"
-        )
-    return wrapper
+class ShardRuntime:
+    """Everything one shard holds, behind its one evaluation operation.
 
+    The state is the resident compiled wrappers (LRU), the per-document
+    :class:`~repro.wrap.extraction.WrapperState` store of the incremental
+    warm path (LRU under ``_STATE_CAP``), and an optional
+    :class:`~repro.serve.faults.FaultInjector`.  Every shard flavour hosts
+    one: a process worker keeps a module-level runtime, an inline shard
+    and a remote shard daemon own one each.  Losing a runtime (worker
+    death, respawn) is always safe: a missing wrapper is a retryable
+    :class:`~repro.errors.WrapperNotResident` and a missing state is just
+    a cold run.
 
-def wrap_pages(
-    wrapper: Wrapper,
-    injector: Optional[FaultInjector],
-    key: str,
-    pages: List[str],
-    traced: bool = False,
-):
-    """The shard-side wrap operation every shard flavor runs.
+    ``max_installed`` caps resident wrappers on shards that evict on
+    their own (the daemon); local shards leave eviction to the router's
+    :meth:`ShardExecutor.ensure_installed`.
 
-    Returns one :class:`~repro.wrap.output.FlatOutput` per page; with
-    ``traced`` the per-page kernel stats ride along as ``{"pages":
-    [...], "kernel": [...]}``.  Fault injection applies to the pages
-    only -- the kernel stats are observability metadata, not results,
-    so garbling faults target what the client actually consumes.
+    >>> from repro.datalog import parse_program
+    >>> runtime = ShardRuntime()
+    >>> runtime.install("k", Wrapper().add_datalog("item", parse_program(
+    ...     "item(x) :- label_li(x).", query="item")))
+    True
+    >>> reply = runtime.wrap("k", [("<ul><li>a</ul>", None),
+    ...                            ("<ul><li>a<li>b</ul>", "doc-1")])
+    >>> [page.to_tree().to_sexpr() for page in reply["pages"]]
+    ['result(item)', 'result(item, item)']
+    >>> reply["stats"][1]["warm"], list(runtime.states)
+    (False, [('k', 'doc-1')])
+    >>> runtime.wrap("k", [("<ul><li>a<li>c</ul>", "doc-1")])["stats"][0]["warm"]
+    True
     """
-    if injector is not None:
-        injector.before_call(key, pages)
-    if traced:
-        runs = wrapper.wrap_html_traced(pages)
-        result = [output for output, _ in runs]
-    else:
-        result = wrapper.wrap_html_flat(pages)
-    if injector is not None:
-        result = injector.after_call(key, result)
-    if traced:
-        return {"pages": result, "kernel": [trace for _, trace in runs]}
-    return result
+
+    def __init__(
+        self,
+        injector: Optional[FaultInjector] = None,
+        max_installed: Optional[int] = None,
+    ) -> None:
+        self.injector = injector
+        self.max_installed = max_installed
+        self.wrappers: "OrderedDict[str, Wrapper]" = OrderedDict()
+        #: ``(wrapper key, doc_id) -> WrapperState``: the previous
+        #: version's snapshot + derived kernel masks.
+        self.states: "OrderedDict[Tuple[str, str], WrapperState]" = OrderedDict()
+
+    def install(self, key: str, wrapper: Wrapper) -> bool:
+        self.wrappers[key] = wrapper
+        self.wrappers.move_to_end(key)
+        if self.max_installed is not None:
+            while len(self.wrappers) > self.max_installed:
+                self.wrappers.popitem(last=False)
+        return True
+
+    def uninstall(self, key: str) -> bool:
+        return self.wrappers.pop(key, None) is not None
+
+    def wrap(self, key: str, items: List[Tuple[str, Optional[str]]]) -> dict:
+        """Evaluate ``(html, doc_id | None)`` items with wrapper ``key``.
+
+        Returns ``{"pages": [...], "stats": [...]}``: one
+        :class:`~repro.wrap.output.FlatOutput` and one stats dict (stage
+        clocks, per-plan kernel stats, reuse) per item.  An item with a
+        ``doc_id`` is evaluated against the state its previous version
+        left behind, and its new state is kept; an item without one runs
+        cold and keeps nothing.  Fault injection applies to the pages
+        only -- the stats are observability metadata, not results, so
+        garbling faults target what the client actually consumes.
+        """
+        wrapper = self.wrappers.get(key)
+        if wrapper is None:
+            # Retryable: the wrapper was evicted or the worker was
+            # respawned; the next attempt re-installs it.
+            raise WrapperNotResident(
+                f"wrapper {key!r} is not resident on this shard; retry the request"
+            )
+        self.wrappers.move_to_end(key)
+        if self.injector is not None:
+            self.injector.before_call(key, [html for html, _ in items])
+        pages: List[FlatOutput] = []
+        stats: List[dict] = []
+        for html, doc_id in items:
+            state_key = (key, doc_id)
+            prior = None if doc_id is None else self.states.get(state_key)
+            output, state, stat = wrapper.wrap_html_stateful(html, prior)
+            if doc_id is not None:
+                self.states[state_key] = state
+                self.states.move_to_end(state_key)
+                while len(self.states) > _STATE_CAP:
+                    self.states.popitem(last=False)
+            pages.append(output)
+            stats.append(stat)
+        if self.injector is not None:
+            pages = self.injector.after_call(key, pages)
+        return {"pages": pages, "stats": stats}
 
 
-def wrap_warm_items(
-    wrapper: Wrapper,
-    injector: Optional[FaultInjector],
-    states: "OrderedDict[Tuple[str, str], WrapperState]",
-    key: str,
-    items: List[Tuple[str, str]],
-    state_cap: int = _STATE_CAP,
-) -> dict:
-    """Warm-wrap ``(html, doc_id)`` items against a per-document state store.
-
-    Shared by every shard flavor: each document is evaluated against the
-    state its ``doc_id`` left behind last time (a miss runs cold), and
-    the store is rotated LRU under ``state_cap``.  Returns ``{"pages":
-    [...], "stats": [...]}`` -- one :class:`~repro.wrap.output.FlatOutput`
-    and one reuse-stats dict per item.
-    """
-    if injector is not None:
-        injector.before_call(key, [html for html, _ in items])
-    pages: List[FlatOutput] = []
-    stats: List[dict] = []
-    for html, doc_id in items:
-        state_key = (key, doc_id)
-        prior = states.get(state_key)
-        output, state, stat = wrapper.wrap_html_stateful(html, prior)
-        states[state_key] = state
-        states.move_to_end(state_key)
-        while len(states) > state_cap:
-            states.popitem(last=False)
-        pages.append(output)
-        stats.append(
-            {
-                "warm": stat["warm"],
-                "dirty": stat["dirty"],
-                "dirty_fraction": stat["dirty_fraction"],
-                "engines": stat["engines"],
-            }
-        )
-    if injector is not None:
-        pages = injector.after_call(key, pages)
-    return {"pages": pages, "stats": stats}
+#: The process-shard worker's runtime (one per worker process).
+_WORKER = ShardRuntime()
 
 
-def _shard_wrap(key: str, pages: List[str], traced: bool = False):
-    from repro.serve.faults import process_injector
-
-    wrapper = _resident(_SHARD_WRAPPERS, key)
-    return wrap_pages(wrapper, process_injector(), key, pages, traced=traced)
-
-
-def _shard_wrap_warm(key: str, items: List[Tuple[str, str]]) -> dict:
-    from repro.serve.faults import process_injector
-
-    wrapper = _resident(_SHARD_WRAPPERS, key)
-    return wrap_warm_items(wrapper, process_injector(), _SHARD_STATES, key, items)
+def _worker_call(op: str, *args):
+    """Run one :class:`ShardRuntime` operation inside a process worker."""
+    _WORKER.injector = process_injector()
+    return getattr(_WORKER, op)(*args)
 
 
 def _forget_on_failure(shard, key: str):
@@ -195,7 +195,7 @@ class _ProcessShard:
         #: Installed wrapper keys in LRU order (see ensure_installed).
         self.installed: "OrderedDict[str, bool]" = OrderedDict()
 
-    def _submit(self, fn, *args) -> Future:
+    def _call(self, fn, *args) -> Future:
         # Never submit to a freshly respawned pool here: the respawn
         # cleared the installed set, so the caller must go back through
         # ensure_installed first.  Raising the retryable error (mapped to
@@ -227,22 +227,16 @@ class _ProcessShard:
         self.installed.clear()
 
     def install(self, key: str, wrapper: Wrapper) -> Future:
-        return self._submit(_shard_install, key, wrapper)
+        return self._call(_worker_call, "install", key, wrapper)
 
     def uninstall(self, key: str) -> Future:
-        return self._submit(_shard_uninstall, key)
+        return self._call(_worker_call, "uninstall", key)
 
-    def run(self, key: str, pages: List[str]) -> Future:
-        return self._submit(_shard_wrap, key, pages)
-
-    def run_traced(self, key: str, pages: List[str]) -> Future:
-        return self._submit(_shard_wrap, key, pages, True)
-
-    def run_warm(self, key: str, items: List[Tuple[str, str]]) -> Future:
-        return self._submit(_shard_wrap_warm, key, items)
+    def submit(self, key: str, items: List[Tuple[str, Optional[str]]]) -> Future:
+        return self._call(_worker_call, "wrap", key, items)
 
     def ping(self) -> Future:
-        return self._submit(_shard_ping)
+        return self._call(_shard_ping)
 
     def kill(self) -> None:
         """Hard-kill the worker (hung past a deadline) and respawn.
@@ -263,7 +257,7 @@ class _ProcessShard:
 
 
 class _InlineShard:
-    """Thread-backed shard: no pickling, shared-memory wrapper store.
+    """Thread-backed shard: no pickling, shared-memory :class:`ShardRuntime`.
 
     Faults are injected *softly* here (simulated crashes instead of
     process death), so the whole recovery stack is exercisable without
@@ -274,39 +268,23 @@ class _InlineShard:
             max_workers=1, thread_name_prefix="repro-serve-shard"
         )
         self.installed: "OrderedDict[str, bool]" = OrderedDict()
-        self._wrappers: Dict[str, Wrapper] = {}
-        self._states: "OrderedDict[Tuple[str, str], WrapperState]" = OrderedDict()
-        self.injector: Optional[FaultInjector] = (
+        self.runtime = ShardRuntime(
             FaultInjector(faults, hard=False, shard_tag="inline")
             if faults is not None and faults.enabled
             else None
         )
 
     def install(self, key: str, wrapper: Wrapper) -> Future:
-        return self.pool.submit(self._wrappers.__setitem__, key, wrapper)
+        return self.pool.submit(self.runtime.install, key, wrapper)
 
     def uninstall(self, key: str) -> Future:
-        return self.pool.submit(self._wrappers.pop, key, None)
+        return self.pool.submit(self.runtime.uninstall, key)
 
-    def run(self, key: str, pages: List[str]) -> Future:
-        return self.pool.submit(self._wrap, key, pages)
-
-    def run_traced(self, key: str, pages: List[str]) -> Future:
-        return self.pool.submit(self._wrap, key, pages, True)
-
-    def run_warm(self, key: str, items: List[Tuple[str, str]]) -> Future:
-        return self.pool.submit(self._wrap_warm, key, items)
+    def submit(self, key: str, items: List[Tuple[str, Optional[str]]]) -> Future:
+        return self.pool.submit(self.runtime.wrap, key, items)
 
     def ping(self) -> Future:
         return self.pool.submit(_shard_ping)
-
-    def _wrap(self, key: str, pages: List[str], traced: bool = False):
-        wrapper = _resident(self._wrappers, key)
-        return wrap_pages(wrapper, self.injector, key, pages, traced=traced)
-
-    def _wrap_warm(self, key: str, items: List[Tuple[str, str]]) -> dict:
-        wrapper = _resident(self._wrappers, key)
-        return wrap_warm_items(wrapper, self.injector, self._states, key, items)
 
     def kill(self) -> None:
         """Simulated hard kill: new pool, empty store, hangs released.
@@ -324,8 +302,7 @@ class _InlineShard:
             max_workers=1, thread_name_prefix="repro-serve-shard"
         )
         self.installed.clear()
-        self._wrappers = {}
-        self._states = OrderedDict()
+        self.runtime = ShardRuntime(self.runtime.injector)
         old.shutdown(wait=False, cancel_futures=True)
 
     def close(self) -> None:
@@ -453,42 +430,25 @@ class ShardExecutor:
         """Local shards never drain independently of the server."""
         return False
 
-    def submit(self, shard_index: int, key: str, pages: List[str]) -> Future:
-        """Evaluate a sub-batch of pages on one shard (future of one
-        :class:`~repro.wrap.output.FlatOutput` per page)."""
-        if self._closed:
-            raise ServeError("executor is closed")
-        return self._shards[shard_index].run(key, pages)
-
-    def submit_traced(
+    def submit(
         self,
         shard_index: int,
         key: str,
-        pages: List[str],
-        trace: Optional[dict] = None,
+        items: List[Tuple[str, Optional[str]]],
+        trace_id: Optional[str] = None,
     ) -> Future:
-        """Traced :meth:`submit`: resolves to ``{"pages": [...],
-        "kernel": [...]}`` with one per-page kernel-stats dict alongside
-        each output, for grafting into the request trace.  ``trace`` is
-        accepted for signature parity with the remote transport (local
-        workers do not need the trace id)."""
-        if self._closed:
-            raise ServeError("executor is closed")
-        return self._shards[shard_index].run_traced(key, pages)
+        """Evaluate ``(html, doc_id | None)`` items on one shard.
 
-    def submit_warm(
-        self, shard_index: int, key: str, items: List[Tuple[str, str]]
-    ) -> Future:
-        """Warm-evaluate ``(html, doc_id)`` items on one shard.
-
-        Resolves to ``{"pages": [...], "stats": [...]}``; the caller
-        routes by ``content_hash(doc_id)`` (not by document content) so
-        successive versions of one document land on the shard holding
-        its state.
+        Resolves to :meth:`ShardRuntime.wrap`'s ``{"pages": [...],
+        "stats": [...]}``.  Callers route ``doc_id`` items by
+        ``content_hash(doc_id)`` (not by document content) so successive
+        versions of one document land on the shard holding its state.
+        ``trace_id`` is accepted so both executors share one signature;
+        only a remote daemon logs it.
         """
         if self._closed:
             raise ServeError("executor is closed")
-        return self._shards[shard_index].run_warm(key, items)
+        return self._shards[shard_index].submit(key, items)
 
     def ping(self, shard_index: int) -> Future:
         """Health-check round trip through one shard's queue."""

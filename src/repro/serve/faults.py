@@ -242,9 +242,9 @@ class FaultPlan:
 class FaultInjector:
     """Applies a :class:`FaultPlan` to shard calls, deterministically.
 
-    One injector lives per shard worker (a module global in process
-    workers, one per :class:`~repro.serve.executor._InlineShard` in
-    inline mode).  ``hard=True`` means real worker death
+    One injector lives per shard runtime
+    (:class:`~repro.serve.executor.ShardRuntime`: the module-level one in
+    process workers, one per inline shard or shard daemon).  ``hard=True`` means real worker death
     (``os._exit``); ``hard=False`` simulates the crash by raising
     :class:`~repro.errors.ShardCrashed`, which exercises the identical
     recovery path without sacrificing a process.
@@ -391,68 +391,56 @@ def process_injector() -> Optional[FaultInjector]:
     return _PROCESS_INJECTOR
 
 
-def validate_shard_result(result: object, expected: int) -> List[FlatOutput]:
-    """Reject malformed shard results (corruption -> retryable crash).
+def validate_shard_result(result: object, expected: int):
+    """Check one shard reply; returns ``(pages, stats)``.
 
-    A healthy shard returns exactly one well-formed
-    :class:`~repro.wrap.output.FlatOutput` per page; anything else means
-    the worker (or the transport) corrupted the batch, and the safe
-    response is the crash path: respawn + retry.
+    A healthy shard answers ``{"pages": [...], "stats": [...]}`` with one
+    well-formed :class:`~repro.wrap.output.FlatOutput` and one stats dict
+    per submitted item.  Anything else means the worker, the daemon or
+    the transport corrupted the call, and the safe response is the crash
+    path: a retryable :class:`~repro.errors.ShardCrashed` (respawn +
+    retry), never a wrong answer.
 
     >>> from repro.trees.stream import html_snapshot
     >>> from repro.wrap.output import build_flat_output
     >>> page = build_flat_output(html_snapshot("<p>x</p>"), {1: "p"})
-    >>> validate_shard_result([page], 1) == [page]
-    True
-    >>> validate_shard_result([page, page], 1)
+    >>> pages, stats = validate_shard_result(
+    ...     {"pages": [page], "stats": [{"warm": False}]}, 1)
+    >>> pages == [page], stats
+    (True, [{'warm': False}])
+    >>> validate_shard_result([page], 1)
+    Traceback (most recent call last):
+        ...
+    repro.errors.ShardCrashed: shard returned list, not a pages/stats dict; treating as a crash
+    >>> validate_shard_result({"pages": [page, page], "stats": [{}, {}]}, 1)
     Traceback (most recent call last):
         ...
     repro.errors.ShardCrashed: shard returned 2 results for 1 page(s); treating as a crash
-    >>> validate_shard_result([{"label": "result"}], 1)
+    >>> validate_shard_result({"pages": [{"label": "result"}], "stats": [{}]}, 1)
     Traceback (most recent call last):
         ...
     repro.errors.ShardCrashed: shard returned a corrupted payload; treating as a crash
+    >>> validate_shard_result({"pages": [page], "stats": "bad"}, 1)
+    Traceback (most recent call last):
+        ...
+    repro.errors.ShardCrashed: shard returned malformed stats for 1 page(s); treating as a crash
     """
-    if not isinstance(result, list) or len(result) != expected:
-        count = len(result) if isinstance(result, list) else type(result).__name__
+    if not isinstance(result, dict):
+        raise ShardCrashed(
+            f"shard returned {type(result).__name__}, not a pages/stats "
+            "dict; treating as a crash"
+        )
+    pages = result.get("pages")
+    if not isinstance(pages, list) or len(pages) != expected:
+        count = len(pages) if isinstance(pages, list) else type(pages).__name__
         raise ShardCrashed(
             f"shard returned {count} results for {expected} page(s); "
             "treating as a crash"
         )
     if not all(
-        isinstance(item, FlatOutput) and item.is_well_formed() for item in result
+        isinstance(item, FlatOutput) and item.is_well_formed() for item in pages
     ):
         raise ShardCrashed("shard returned a corrupted payload; treating as a crash")
-    return result
-
-
-def validate_warm_result(result: object, expected: int):
-    """Validate the dict form a warm shard call returns.
-
-    A healthy warm call resolves to ``{"pages": [...], "stats": [...]}``
-    with one output and one stats dict per submitted item; the
-    pages go through :func:`validate_shard_result` (so injected
-    corruption is caught the same way), and a malformed stats column is
-    likewise treated as a crash.  Returns ``(pages, stats)``.
-
-    >>> from repro.trees.stream import html_snapshot
-    >>> from repro.wrap.output import build_flat_output
-    >>> page = build_flat_output(html_snapshot("<p>x</p>"), {1: "p"})
-    >>> pages, stats = validate_warm_result(
-    ...     {"pages": [page], "stats": [{"warm": True}]}, 1)
-    >>> pages == [page], stats
-    (True, [{'warm': True}])
-    >>> validate_warm_result([page], 1)
-    Traceback (most recent call last):
-        ...
-    repro.errors.ShardCrashed: warm shard call returned list, not a pages/stats dict; treating as a crash
-    """
-    if not isinstance(result, dict):
-        raise ShardCrashed(
-            f"warm shard call returned {type(result).__name__}, not a "
-            "pages/stats dict; treating as a crash"
-        )
-    pages = validate_shard_result(result.get("pages"), expected)
     stats = result.get("stats")
     if (
         not isinstance(stats, list)
@@ -460,52 +448,7 @@ def validate_warm_result(result: object, expected: int):
         or not all(isinstance(item, dict) for item in stats)
     ):
         raise ShardCrashed(
-            f"warm shard call returned malformed stats for {expected} "
-            "item(s); treating as a crash"
+            f"shard returned malformed stats for {expected} page(s); "
+            "treating as a crash"
         )
     return pages, stats
-
-
-def validate_traced_result(result: object, expected: int):
-    """Validate a *traced* shard call, tolerating untraced responders.
-
-    A tracing-aware shard returns ``{"pages": [...], "kernel": [...]}``
-    (one kernel-stats dict per page); a shard or daemon that predates
-    tracing answers the same request with the plain page list.  Both are
-    healthy -- returns ``(pages, kernel_or_None)`` so the caller can
-    degrade to a transport-only span.  A malformed kernel column is a
-    crash, same as corrupted pages.
-
-    >>> from repro.trees.stream import html_snapshot
-    >>> from repro.wrap.output import build_flat_output
-    >>> page = build_flat_output(html_snapshot("<p>x</p>"), {1: "p"})
-    >>> validate_traced_result([page], 1) == ([page], None)
-    True
-    >>> pages, kernel = validate_traced_result(
-    ...     {"pages": [page], "kernel": [{"kernel_ms": 0.5}]}, 1)
-    >>> kernel[0]["kernel_ms"]
-    0.5
-    >>> validate_traced_result({"pages": [page], "kernel": "bad"}, 1)
-    Traceback (most recent call last):
-        ...
-    repro.errors.ShardCrashed: traced shard call returned malformed kernel stats for 1 page(s); treating as a crash
-    """
-    if isinstance(result, list):
-        return validate_shard_result(result, expected), None
-    if not isinstance(result, dict):
-        raise ShardCrashed(
-            f"traced shard call returned {type(result).__name__}, not a "
-            "pages/kernel dict or page list; treating as a crash"
-        )
-    pages = validate_shard_result(result.get("pages"), expected)
-    kernel = result.get("kernel")
-    if (
-        not isinstance(kernel, list)
-        or len(kernel) != expected
-        or not all(isinstance(item, dict) for item in kernel)
-    ):
-        raise ShardCrashed(
-            f"traced shard call returned malformed kernel stats for "
-            f"{expected} page(s); treating as a crash"
-        )
-    return pages, kernel

@@ -31,25 +31,6 @@ from collections import Counter
 from typing import Callable, Dict, List, Optional, Tuple
 
 
-def percentile(sorted_values: List[float], q: float) -> float:
-    """The ``q``-quantile (0..1) of an ascending non-empty list.
-
-    Nearest-rank definition: ``ceil(q * n)``-th smallest value, so the
-    median of an odd-length series is its middle element.
-
-    >>> percentile([1, 2, 3, 4, 100], 0.50)
-    3
-    >>> percentile([1, 2, 3, 4, 100], 0.95)
-    100
-    """
-    if not sorted_values:
-        raise ValueError("percentile of empty series")
-    index = max(
-        0, min(len(sorted_values) - 1, math.ceil(q * len(sorted_values)) - 1)
-    )
-    return sorted_values[index]
-
-
 #: Histogram bucket upper bounds in seconds: 0.5 ms doubling to ~16 s.
 #: Fixed and exponential, so histograms from different shards/processes
 #: merge bucket-by-bucket and the relative error of any quantile

@@ -9,17 +9,20 @@ pages; the daemon evaluates them on a dedicated worker thread (one at a
 time -- the same single-worker queue semantics as local process shards,
 so a ping round trip proves the daemon is draining its queue).
 
-Operations: ``install`` / ``uninstall`` (compiled-wrapper residency,
-LRU-capped), ``wrap`` (a page sub-batch; a request carrying the optional
-``trace`` frame field additionally returns per-page kernel stats as
-``{"pages": [...], "kernel": [...]}`` and logs the client trace id --
-old daemons read only the keys they know, so the field degrades
-harmlessly), ``wrap_warm`` (``(html, doc_id)`` items against the
-daemon's per-document :class:`~repro.wrap.extraction.WrapperState`
-store -- the incremental warm path, state-local to this box), ``ping``
-(health + stats), and ``drain`` (operator-initiated graceful shutdown).
-Pages travel back as flat output columns
-(:class:`~repro.wrap.output.FlatOutput`), never as nested trees.
+The daemon hosts one :class:`~repro.serve.executor.ShardRuntime`, the
+same object local shards host.  Operations: ``install`` / ``uninstall``
+(compiled-wrapper residency, LRU-capped), ``wrap`` (``(html, doc_id |
+None)`` items; items with a ``doc_id`` run against the daemon's
+per-document :class:`~repro.wrap.extraction.WrapperState` store -- the
+incremental warm path, state-local to this box -- and the frame's
+``trace_id``, when set, is logged so a cross-box grep finds the
+daemon-side line), ``ping`` (health + stats), and ``drain``
+(operator-initiated graceful shutdown).  A ``wrap`` reply is
+``{"pages": [...], "stats": [...]}``: flat output columns
+(:class:`~repro.wrap.output.FlatOutput`, never nested trees) plus one
+stats dict per item, which the router grafts into its trace.  The
+router and its daemons speak one frame format, so they are upgraded
+together.
 
 **Graceful drain** (``SIGTERM``, or a ``drain`` frame): the daemon stops
 accepting connections, pushes an unsolicited ``{"op": "drain"}`` notice
@@ -54,12 +57,11 @@ import contextlib
 import signal
 import sys
 import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, Optional, Set, Tuple, Union
 
-from repro.errors import ServeError, WrapperNotResident
-from repro.serve.executor import wrap_pages, wrap_warm_items
+from repro.errors import ServeError
+from repro.serve.executor import ShardRuntime
 from repro.serve.faults import FaultInjector, FaultPlan, log_fault_event
 from repro.serve.transport import (
     FrameError,
@@ -78,22 +80,18 @@ class ShardDaemon:
         port: int = 0,
         faults: Union[FaultPlan, str, None] = None,
         max_installed: int = 32,
-        state_cap: int = 128,
         drain_grace: float = 5.0,
     ):
         self.host = host
         self.port = port  # 0 -> ephemeral; set to the bound port by start()
         plan = FaultPlan.parse(faults) if isinstance(faults, str) else faults
-        self.injector: Optional[FaultInjector] = (
+        self.runtime = ShardRuntime(
             FaultInjector(plan, hard=False, shard_tag=f"daemon:{port}")
             if plan is not None and plan.enabled
-            else None
+            else None,
+            max_installed=max(1, max_installed),
         )
-        self.max_installed = max(1, max_installed)
-        self.state_cap = state_cap
         self.drain_grace = drain_grace
-        self._wrappers: "OrderedDict[str, object]" = OrderedDict()
-        self._states: OrderedDict = OrderedDict()
         self._pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-shard-daemon"
         )
@@ -102,7 +100,6 @@ class ShardDaemon:
             "installs": 0,
             "uninstalls": 0,
             "wraps": 0,
-            "warm_wraps": 0,
             "pages": 0,
             "pings": 0,
             "frame_errors": 0,
@@ -232,75 +229,33 @@ class ShardDaemon:
             self.stats["pings"] += 1
             return {"draining": self.draining, "stats": dict(self.stats)}
         if op == "install":
-            key, wrapper = message["key"], message["wrapper"]
-            self._wrappers[key] = wrapper
-            self._wrappers.move_to_end(key)
             self.stats["installs"] += 1
-            while len(self._wrappers) > self.max_installed:
-                self._wrappers.popitem(last=False)
-            return True
+            return self.runtime.install(message["key"], message["wrapper"])
         if op == "uninstall":
             self.stats["uninstalls"] += 1
-            return self._wrappers.pop(message["key"], None) is not None
+            return self.runtime.uninstall(message["key"])
         if op == "wrap":
-            key, pages = message["key"], message["pages"]
+            key, items = message["key"], message["items"]
             self.stats["wraps"] += 1
-            self.stats["pages"] += len(pages)
-            trace = message.get("trace")
-            if isinstance(trace, dict):
-                # Tracing-aware router: evaluate with kernel stats and
-                # log the client's trace id so a cross-box grep by
-                # trace id finds the daemon-side line.  Daemons that
-                # predate this field never reach here -- they read only
-                # the keys they know and answer the plain page list.
-                self.stats["traced_wraps"] = self.stats.get("traced_wraps", 0) + 1
-                result = await asyncio.get_running_loop().run_in_executor(
-                    self._pool, self._wrap, key, pages, True
-                )
+            self.stats["pages"] += len(items)
+            result = await asyncio.get_running_loop().run_in_executor(
+                self._pool, self.runtime.wrap, key, items
+            )
+            trace_id = message.get("trace_id")
+            if trace_id is not None:
                 log_fault_event(
                     "daemon_traced_wrap",
                     address=self.address,
-                    trace_id=trace.get("trace_id"),
-                    pages=len(pages),
+                    trace_id=trace_id,
+                    pages=len(items),
                 )
-                return result
-            return await asyncio.get_running_loop().run_in_executor(
-                self._pool, self._wrap, key, pages
-            )
-        if op == "wrap_warm":
-            key, items = message["key"], message["items"]
-            self.stats["warm_wraps"] += 1
-            self.stats["pages"] += len(items)
-            return await asyncio.get_running_loop().run_in_executor(
-                self._pool, self._wrap_warm, key, items
-            )
+            return result
         if op == "drain":
             # Operator-initiated graceful shutdown over the wire; the
             # reply goes out first, the drain proceeds in the background.
             asyncio.ensure_future(self.drain())
             return True
         raise ServeError(f"unknown shard daemon operation {op!r}")
-
-    def _resident(self, key: str):
-        wrapper = self._wrappers.get(key)
-        if wrapper is None:
-            # Retryable + blameless by class: the router re-installs.
-            raise WrapperNotResident(
-                f"wrapper {key!r} is not resident on this daemon; "
-                "retry the request"
-            )
-        self._wrappers.move_to_end(key)
-        return wrapper
-
-    def _wrap(self, key: str, pages: List[str], traced: bool = False):
-        wrapper = self._resident(key)
-        return wrap_pages(wrapper, self.injector, key, pages, traced=traced)
-
-    def _wrap_warm(self, key: str, items: List[Tuple[str, str]]) -> dict:
-        wrapper = self._resident(key)
-        return wrap_warm_items(
-            wrapper, self.injector, self._states, key, items, self.state_cap
-        )
 
 
 class DaemonThread:

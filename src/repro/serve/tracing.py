@@ -10,7 +10,7 @@ passes through --
     http.request                the server's connection handler
       batcher.queue             time spent coalescing (queued requests)
       batch.flush               the shared flush a request rode in
-        ring.route              consistent-hash routing (tags: shard,
+        ring.route              consistent-hash routing (tags: shards,
                                 rerouted)
         shard.call              one executor submission (local process,
                                 inline thread, or remote daemon RPC)
@@ -26,13 +26,13 @@ worklist is visible per request instead of only in aggregate.
 Spans are plain objects linked parent -> children; a span created for a
 shared stage (one ``batch.flush`` serving many coalesced requests) is
 attached to *every* member's tree -- serialization walks the shared
-subtree once per trace.  Remote shard daemons do not build spans at all:
-they return cheap per-page kernel-stats dicts over the RPC protocol, and
-the router grafts them into the client-side trace as ``snapshot.build``
-/ ``kernel.run`` spans (see :meth:`Span.graft_kernel_stats`).  A daemon
-too old to understand the trace request field simply returns the
-untraced payload shape and the trace degrades to a transport-only
-``shard.call`` span.
+subtree once per trace.  Shards -- local workers and remote daemons
+alike -- do not build spans at all: every shard call returns a cheap
+stats dict per page next to its output, and the router grafts them into
+the client-side trace as ``snapshot.build`` / ``kernel.run`` spans (see
+:meth:`Span.graft_kernel_stats`), on the cold and the ``doc_id`` warm
+path alike.  A shard reply without those stats is malformed and is
+treated as a retryable crash, so routers and daemons upgrade together.
 
 The :class:`Tracer` keeps finished traces in a bounded ring buffer plus
 two exemplar stores (the slowest N and the last N errored requests), so

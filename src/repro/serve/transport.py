@@ -355,8 +355,8 @@ class _RemoteShard:
 class RemoteShardExecutor:
     """The :class:`~repro.serve.executor.ShardExecutor` surface over sockets.
 
-    Drop-in for the batcher and supervisor: ``run``-shaped submissions
-    return awaitable futures (``asyncio`` tasks -- ``asyncio.wrap_future``
+    Drop-in for the batcher and supervisor: ``submit`` returns awaitable
+    futures (``asyncio`` tasks -- ``asyncio.wrap_future``
     passes them through), ``ping`` feeds the health loop,
     ``kill_shard``/``respawn_shard`` become connection drops with lazy
     reconnect, and every failure is one of the PR-7 error types, so the
@@ -456,34 +456,22 @@ class RemoteShardExecutor:
             if key in remote.installed
         ]
 
-    def submit(self, shard_index: int, key: str, pages: List[str]):
-        return self._task(
-            self._shards[shard_index].request("wrap", key=key, pages=pages)
-        )
-
-    def submit_traced(
+    def submit(
         self,
         shard_index: int,
         key: str,
-        pages: List[str],
-        trace: Optional[dict] = None,
+        items: List[Tuple[str, Optional[str]]],
+        trace_id: Optional[str] = None,
     ):
-        """Traced :meth:`submit`: the request frame carries a new
-        optional ``trace`` field (the client-side trace context, e.g.
-        ``{"trace_id": ...}``).  A tracing-aware daemon echoes kernel
-        stats back as ``{"pages": [...], "kernel": [...]}`` and logs the
-        trace id; an older daemon reads only the frame keys it knows,
-        ignores ``trace``, and answers the plain page list -- which the
-        batcher accepts, degrading to a transport-only span."""
+        """One ``wrap`` frame of ``(html, doc_id | None)`` items.
+
+        Resolves to ``{"pages": [...], "stats": [...]}``.  ``trace_id``
+        rides in the frame only so the daemon's log line can be found by
+        the client's trace id."""
         return self._task(
             self._shards[shard_index].request(
-                "wrap", key=key, pages=pages, trace=trace or {"trace_id": None}
+                "wrap", key=key, items=items, trace_id=trace_id
             )
-        )
-
-    def submit_warm(self, shard_index: int, key: str, items: List[Tuple[str, str]]):
-        return self._task(
-            self._shards[shard_index].request("wrap_warm", key=key, items=items)
         )
 
     def ping(self, shard_index: int):

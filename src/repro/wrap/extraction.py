@@ -49,7 +49,6 @@ from typing import (
     Optional,
     Sequence,
     Set,
-    Tuple,
     Union,
 )
 
@@ -227,18 +226,8 @@ class Wrapper:
         """Extraction-function names in priority order."""
         return [name for _, name, _ in self._functions]
 
-    def _extract_structure(
-        self,
-        structure: IndexedStructure,
-        collect: Optional[List[Dict]] = None,
-    ) -> Dict[str, Set[int]]:
-        """Evaluate all extraction functions against one shared runtime.
-
-        ``collect``, when given, receives one kernel-stats dict per
-        distinct plan evaluation (``EvaluationResult.stats``, or a
-        minimal ``{"engine": ...}`` for non-kernel strategies) -- the
-        raw material tracing grafts into ``kernel.run`` spans.
-        """
+    def _extract_structure(self, structure: IndexedStructure) -> Dict[str, Set[int]]:
+        """Evaluate all extraction functions against one shared runtime."""
         # Automaton queries and user callables keep receiving the concrete
         # (unwrapped) structure their registered signatures promise; only
         # the datalog engine consumes the index wrapper.
@@ -254,13 +243,6 @@ class Wrapper:
                 result = runs.get(id(plan))
                 if result is None:
                     result = runs[id(plan)] = plan.run(structure)
-                    if collect is not None:
-                        stats = getattr(result, "stats", None)
-                        collect.append(
-                            dict(stats)
-                            if stats
-                            else {"engine": result.engine or result.method}
-                        )
                 ids = result.unary(pred)
             elif streaming:
                 raise WrapError(
@@ -395,65 +377,6 @@ class Wrapper:
             outputs.append(self._flat_output(runtime.base, results, root_label))
         return outputs
 
-    def wrap_html_traced(
-        self,
-        pages: Sequence[str],
-        root_label: str = "result",
-    ) -> List[Tuple[FlatOutput, Dict]]:
-        """Wrap raw HTML pages while timing each stage of the work.
-
-        Returns one ``(output, trace)`` pair per page -- ``output`` as
-        :meth:`wrap_html_flat` columns -- where ``trace`` is the cheap
-        stats payload shards ship back over the RPC protocol so the
-        client can graft ``snapshot.build`` / ``kernel.run`` spans into
-        the request trace (see
-        :meth:`repro.serve.tracing.Span.graft_kernel_stats`)::
-
-            {"snapshot_build_ms": float,   # HTML -> columnar snapshot
-             "kernel_ms": float,           # extraction + assembly
-             "runs": [per-plan kernel stats dicts]}
-
-        Each ``runs`` entry is an :attr:`EvaluationResult.stats` dict
-        (engine, rounds, facts, frontier_widths, fallback).  No Span
-        objects are built here -- just counters and two clock reads per
-        page, so the overhead over :meth:`wrap_html_flat` is noise.
-
-        >>> from repro.datalog import parse_program
-        >>> w = Wrapper().add_datalog("item", parse_program(
-        ...     "item(x) :- label_li(x).", query="item"))
-        >>> [(out, trace)] = w.wrap_html_traced(["<ul><li>a<li>b</ul>"])
-        >>> out.to_tree().to_sexpr()
-        'result(item, item)'
-        >>> trace["runs"][0]["engine"] in ("frontier", "worklist")
-        True
-        >>> trace["snapshot_build_ms"] >= 0.0
-        True
-        """
-        self.compile()
-        out: List[Tuple[FlatOutput, Dict]] = []
-        for page in pages:
-            started = time.perf_counter()
-            runtime = as_indexed(Document.from_html(page))
-            # Force the snapshot build so its cost lands in this stage
-            # rather than inside the first plan's evaluation.
-            runtime.base.snapshot()
-            built = time.perf_counter()
-            runs: List[Dict] = []
-            results = self._extract_structure(runtime, collect=runs)
-            output = self._flat_output(runtime.base, results, root_label)
-            finished = time.perf_counter()
-            out.append(
-                (
-                    output,
-                    {
-                        "snapshot_build_ms": round((built - started) * 1e3, 3),
-                        "kernel_ms": round((finished - built) * 1e3, 3),
-                        "runs": runs,
-                    },
-                )
-            )
-        return out
-
     def wrap_html_stateful(
         self,
         page: str,
@@ -473,24 +396,40 @@ class Wrapper:
         outside the kernel fragment fall back to cold evaluation per
         document, so this is always safe to call.
 
+        The same dict carries the stage clocks shards ship back so the
+        client can graft ``snapshot.build`` / ``kernel.run`` spans into
+        the request trace (see
+        :meth:`repro.serve.tracing.Span.graft_kernel_stats`):
+        ``snapshot_build_ms`` (HTML -> columnar snapshot), ``kernel_ms``
+        (extraction + assembly) and ``runs``, one
+        :attr:`EvaluationResult.stats` dict per distinct plan (engine,
+        rounds, facts, frontier_widths, fallback).  No Span objects are
+        built here -- just counters and two clock reads per page.
+
         >>> from repro.datalog import parse_program
         >>> w = Wrapper().add_datalog("item", parse_program(
         ...     "item(x) :- label_li(x).", query="item"))
         >>> out, state, stats = w.wrap_html_stateful("<ul><li>a<li>b</ul>")
         >>> out.to_tree().to_sexpr(), stats["warm"]
         ('result(item, item)', False)
+        >>> stats["runs"][0]["engine"] in ("frontier", "worklist")
+        True
         >>> out, state, stats = w.wrap_html_stateful(
         ...     "<ul><li>a<li>c</ul>", prior=state)
-        >>> out.to_tree().to_sexpr(), stats["warm"]
-        ('result(item, item)', True)
+        >>> out.to_tree().to_sexpr(), stats["warm"], stats["runs"][0]["engine"]
+        ('result(item, item)', True, 'incremental')
         """
         self.compile()
+        started = time.perf_counter()
+        # Document.from_html scans the page and builds its snapshot.
         runtime = as_indexed(Document.from_html(page))
+        built = time.perf_counter()
         prior_states = prior.states if prior is not None else {}
         results: Dict[str, Set[int]] = {}
-        runs: Dict[int, object] = {}
+        evaluated: Dict[int, object] = {}
         next_states: Dict[int, object] = {}
         engines: List[str] = []
+        runs: List[Dict] = []
         dirty: Optional[int] = None
         dirty_fraction: Optional[float] = None
         for index, (kind, name, payload) in enumerate(self._functions):
@@ -502,7 +441,7 @@ class Wrapper:
                 )
             program, pred = payload
             plan = self._compiled_plan(index, program)
-            run = runs.get(id(plan))
+            run = evaluated.get(id(plan))
             if run is None:
                 # Distinct plans keyed by order of first use: stable
                 # across calls because ``self._functions`` is fixed.
@@ -511,21 +450,27 @@ class Wrapper:
                     runtime, prior_states.get(slot)
                 )
                 next_states[slot] = state
-                engines.append(result.engine or result.method)
+                engine = result.engine or result.method
+                engines.append(engine)
+                runs.append(dict(result.stats) if result.stats else {"engine": engine})
                 if info is not None:
                     if dirty is None or info["dirty"] > dirty:
                         dirty = info["dirty"]
                         dirty_fraction = info["dirty_fraction"]
-                run = runs[id(plan)] = result
+                run = evaluated[id(plan)] = result
             ids = run.unary(pred)
             known = results.get(name)
             results[name] = ids if known is None else known | ids
         output = self._flat_output(runtime.base, results, root_label)
+        finished = time.perf_counter()
         stats = {
             "warm": any(e.startswith("incremental") for e in engines),
             "engines": engines,
             "dirty": dirty,
             "dirty_fraction": dirty_fraction,
+            "snapshot_build_ms": round((built - started) * 1e3, 3),
+            "kernel_ms": round((finished - built) * 1e3, 3),
+            "runs": runs,
         }
         return output, WrapperState(next_states), stats
 

@@ -164,7 +164,7 @@ class TestTransportFaultMapping:
             if daemon._server is not None:
                 daemon._server.close()
             with pytest.raises(ShardCrashed) as info:
-                await executor.submit(0, "missing", ["<p>x</p>"])
+                await executor.submit(0, "missing", [("<p>x</p>", None)])
             assert info.value.blameless is False
             await executor.aclose()
             await daemon.drain()
@@ -177,7 +177,7 @@ class TestTransportFaultMapping:
             await daemon.start()
             executor = RemoteShardExecutor([daemon.address])
             with pytest.raises(WrapperNotResident):
-                await executor.submit(0, "never-installed", ["<p>x</p>"])
+                await executor.submit(0, "never-installed", [("<p>x</p>", None)])
             await executor.aclose()
             await daemon.drain()
 
@@ -193,7 +193,7 @@ class TestTransportFaultMapping:
                 await install
             with pytest.raises(asyncio.TimeoutError):
                 await asyncio.wait_for(
-                    executor.submit(0, "k", [item_page(0)]), timeout=0.05
+                    executor.submit(0, "k", [(item_page(0), None)]), timeout=0.05
                 )
             # What the batcher does next: sever the stream, reconnect.
             executor.kill_shard(0)
@@ -257,7 +257,7 @@ class TestRemoteCluster:
                 },
             )
             assert status == 200
-        warm_counts = [t.daemon.stats["warm_wraps"] for t in daemons]
+        warm_counts = [t.daemon.stats["wraps"] for t in daemons]
         # Every version of the document hit the same daemon's state store.
         assert sorted(warm_counts)[:2] == [0, 0]
         assert max(warm_counts) == 6

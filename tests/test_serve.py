@@ -196,8 +196,9 @@ class TestShardExecutor:
                 future.result(timeout=10)
             # Installs are idempotent: no new futures the second time.
             assert executor.ensure_installed("k", wrapper) == []
-            result = executor.submit(0, "k", ["<ul><li>a</ul>"]).result(timeout=10)
-            assert result[0].to_tree().children[0].label == "item"
+            items = [("<ul><li>a</ul>", None)]
+            result = executor.submit(0, "k", items).result(timeout=10)
+            assert result["pages"][0].to_tree().children[0].label == "item"
         finally:
             executor.close()
 
@@ -210,7 +211,7 @@ class TestShardExecutor:
             wrapper, _ = build_wrapper("datalog", ITEM_DATALOG, ["item"])
             for future in executor.ensure_installed("k", wrapper):
                 future.result(timeout=30)
-            executor.submit(0, "k", ["<ul><li>a</ul>"]).result(timeout=30)
+            executor.submit(0, "k", [("<ul><li>a</ul>", None)]).result(timeout=30)
             shard = executor._shards[0]
             for pid in list(shard.pool._processes):
                 os.kill(pid, signal.SIGKILL)
@@ -219,15 +220,14 @@ class TestShardExecutor:
                 try:
                     for future in executor.ensure_installed("k", wrapper):
                         future.result(timeout=30)
-                    out = executor.submit(0, "k", ["<ul><li>b</ul>"]).result(
-                        timeout=30
-                    )
+                    items = [("<ul><li>b</ul>", None)]
+                    out = executor.submit(0, "k", items).result(timeout=30)
                     healed = True
                     break
                 except Exception:
                     time.sleep(0.05)
             assert healed
-            assert out[0].to_tree().children[0].label == "item"
+            assert out["pages"][0].to_tree().children[0].label == "item"
         finally:
             executor.close()
 
@@ -241,12 +241,13 @@ class TestShardExecutor:
             shard = executor._shards[0]
             assert list(shard.installed) == ["k2", "k3"]
             # The evicted key errors once, then re-installs on demand.
+            items = [("<ul><li>x</ul>", None)]
             with pytest.raises(ServeError):
-                executor.submit(0, "k1", ["<ul><li>x</ul>"]).result(timeout=10)
+                executor.submit(0, "k1", items).result(timeout=10)
             for future in executor.ensure_installed("k1", wrapper):
                 future.result(timeout=10)
-            out = executor.submit(0, "k1", ["<ul><li>x</ul>"]).result(timeout=10)
-            assert out[0].to_tree().children[0].label == "item"
+            out = executor.submit(0, "k1", items).result(timeout=10)
+            assert out["pages"][0].to_tree().children[0].label == "item"
         finally:
             executor.close()
 
@@ -254,7 +255,7 @@ class TestShardExecutor:
         executor = ShardExecutor(shards=0)
         try:
             with pytest.raises(ServeError):
-                executor.submit(0, "ghost", ["<p>x</p>"]).result(timeout=10)
+                executor.submit(0, "ghost", [("<p>x</p>", None)]).result(timeout=10)
         finally:
             executor.close()
 
@@ -564,5 +565,67 @@ class TestServerEndToEnd:
             status, metrics = request(host, port, "GET", "/metrics")
             assert metrics["counters"]["bypassed"] == 4
             assert metrics["batches"]["count"] == 0
+        finally:
+            thread.stop()
+
+
+class TestMetricsCountersPerRoute:
+    """Exact ``/metrics`` counter deltas for each kind of request.
+
+    ``perfbench`` derives ``cache.lookups`` as ``cache_hits +
+    cache_misses`` and checks it against the number of traced requests,
+    so every request must count exactly one lookup per document -- a
+    ``doc_id`` request included."""
+
+    COUNTERS = ("cache_hits", "cache_misses", "documents", "bypassed")
+
+    @staticmethod
+    def page(*texts):
+        return "<ul>" + "".join(f"<li>{t}</li>" for t in texts) + "</ul>"
+
+    def snapshot(self, host, port):
+        status, metrics = request(host, port, "GET", "/metrics")
+        assert status == 200
+        counters = metrics["counters"]
+        out = {name: counters.get(name, 0) for name in self.COUNTERS}
+        out["incremental.hits"] = metrics["incremental"]["hits"]
+        out["incremental.misses"] = metrics["incremental"]["misses"]
+        return out
+
+    def test_counter_deltas_per_route(self):
+        registry = WrapperRegistry()
+        registry.register("items", ITEM_DATALOG, kind="datalog", patterns=["item"])
+        server = ExtractionServer(registry, port=0, shards=0)
+        thread = ServerThread(server)
+        host, port = thread.start()
+        items = [f"entry {i}" for i in range(12)]
+        edited = items[:5] + ["entry five, edited"] + items[6:]
+        steps = [
+            ("cold miss", "/extract/items", {"html": self.page("a", "b")},
+             dict(cache_misses=1, documents=1, bypassed=1), 1),
+            ("cache hit", "/extract/items", {"html": self.page("a", "b")},
+             dict(cache_hits=1), 1),
+            ("doc_id cold", "/extract/items",
+             {"html": self.page(*items), "doc_id": "crawl://counted"},
+             {"cache_misses": 1, "documents": 1, "incremental.misses": 1}, 1),
+            ("doc_id warm", "/extract/items",
+             {"html": self.page(*edited), "doc_id": "crawl://counted"},
+             {"cache_misses": 1, "documents": 1, "incremental.hits": 1}, 1),
+            ("batch with a duplicate", "/batch",
+             {"wrapper": "items",
+              "documents": [self.page("x"), self.page("y"), self.page("x")]},
+             dict(cache_misses=3, documents=3), 3),
+        ]
+        try:
+            before = self.snapshot(host, port)
+            for name, path, body, expected, lookups in steps:
+                status, _ = request(host, port, "POST", path, body)
+                assert status == 200, name
+                after = self.snapshot(host, port)
+                delta = {key: after[key] - before[key] for key in after}
+                want = {key: expected.get(key, 0) for key in after}
+                assert delta == want, name
+                assert delta["cache_hits"] + delta["cache_misses"] == lookups, name
+                before = after
         finally:
             thread.stop()

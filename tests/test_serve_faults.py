@@ -145,21 +145,32 @@ class TestFaultPlan:
     def test_validate_shard_result_rejects_corruption(self):
         a = build_flat_output(html_snapshot("<ul><li>a</ul>"), {1: "item"})
         b = build_flat_output(html_snapshot("<p>b</p>"), {})
-        assert validate_shard_result([a, b], 2) == [a, b]
+
+        def reply(pages, stats=None):
+            if stats is None:
+                stats = [{}] * len(pages)
+            return {"pages": pages, "stats": stats}
+
+        assert validate_shard_result(reply([a, b]), 2) == ([a, b], [{}, {}])
         with pytest.raises(ShardCrashed):
-            validate_shard_result([a], 2)  # wrong length
+            validate_shard_result(reply([a]), 2)  # wrong length
         with pytest.raises(ShardCrashed):
-            validate_shard_result("garbage", 1)  # not a list
+            validate_shard_result("garbage", 1)  # not a dict
         with pytest.raises(ShardCrashed):
-            validate_shard_result([{"__corrupt__": True}], 1)  # not columns
+            validate_shard_result([a], 1)  # a bare page list
+        with pytest.raises(ShardCrashed):
+            validate_shard_result(reply([{"__corrupt__": True}]), 1)  # not columns
         torn = FlatOutput(a.labels, a.label_ids, a.source_ids[:1], a.parents, {})
         with pytest.raises(ShardCrashed):
-            validate_shard_result([torn], 1)  # columns of unequal length
+            validate_shard_result(reply([torn]), 1)  # columns of unequal length
+        for stats in ("bad", [], [{}, {}], ["not a dict"]):
+            with pytest.raises(ShardCrashed):
+                validate_shard_result(reply([a], stats), 1)  # malformed stats
         # What the injector actually returns on a corrupt_every call.
         injector = FaultInjector(FaultPlan(corrupt_every=1), hard=False)
         injector.before_call("k", ["page"])
         with pytest.raises(ShardCrashed):
-            validate_shard_result(injector.after_call("k", [a]), 1)
+            validate_shard_result(reply(injector.after_call("k", [a]), [{}]), 1)
 
 
 class TestQuarantine:

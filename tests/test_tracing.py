@@ -7,9 +7,10 @@ in :mod:`repro.serve.metrics` (round-tripped through the strict parser
 the CI observability-smoke job uses), and the end-to-end story: a traced
 ``/extract`` against a local server and against a loopback remote
 cluster must yield a retrievable trace whose ``kernel.run`` spans carry
-the engine name and round count shipped back from the shard -- and an
-*old* daemon that ignores the trace frame field must degrade the trace
-to a transport-only ``shard.call`` span without failing the request.
+the engine name and round count shipped back from the shard, on the
+cold and the ``doc_id`` path alike -- and a daemon answering a reply of
+the wrong shape (a bare page list) must yield retryable crashes and a
+non-200 with an access-log line, never a wrong 200.
 """
 
 import io
@@ -373,30 +374,36 @@ class TestServerTracing:
 
 
 class LegacyShardDaemon(ShardDaemon):
-    """A daemon from before the trace frame field existed.
+    """A daemon that answers ``wrap`` with a bare page list.
 
-    Old daemons read only the keys they know, so dropping ``trace`` on
-    the floor is exactly how they behave -- the router must degrade the
-    trace instead of failing the request."""
+    That is how daemons replied before every shard call carried per-page
+    stats.  Routers and daemons now upgrade together, so the router must
+    treat the shape as a corrupted reply -- a retryable crash -- and
+    never answer 200 with it."""
 
-    def _dispatch(self, message):
-        message.pop("trace", None)
-        return super()._dispatch(message)
+    async def _dispatch(self, message):
+        value = await super()._dispatch(message)
+        return value["pages"] if message.get("op") == "wrap" else value
 
 
 @pytest.fixture
 def trace_cluster():
     daemons, threads, servers = [], [], []
 
-    def boot(daemon_cls=ShardDaemon, n_daemons=2):
-        booted = [DaemonThread(daemon_cls()) for _ in range(n_daemons)]
-        daemons.extend(booted)
-        addresses = [
-            f"{host}:{port}" for host, port in (d.start() for d in booted)
-        ]
-        server = ExtractionServer(
-            make_registry(), remote_shards=addresses, health_interval=0.1
-        )
+    def boot(daemon_cls=ShardDaemon, n_daemons=2, shards=None, **server_kwargs):
+        """A traced server over ``n_daemons`` remote daemons, or over
+        ``shards`` local shards (0 = inline) when ``shards`` is given."""
+        if shards is None:
+            booted = [DaemonThread(daemon_cls()) for _ in range(n_daemons)]
+            daemons.extend(booted)
+            server_kwargs["remote_shards"] = [
+                f"{host}:{port}" for host, port in (d.start() for d in booted)
+            ]
+            server_kwargs["health_interval"] = 0.1
+        else:
+            booted = []
+            server_kwargs["shards"] = shards
+        server = ExtractionServer(make_registry(), port=0, **server_kwargs)
         thread = ServerThread(server)
         servers.append(server)
         threads.append(thread)
@@ -434,42 +441,48 @@ class TestClusterTracePropagation:
         assert kernel_runs[0]["tags"]["rounds"] >= 0
         assert find_spans(root, "snapshot.build")
         assert find_spans(root, "ring.route")
-        # The daemon side counted the traced RPC.
-        assert sum(
-            t.daemon.stats.get("traced_wraps", 0) for t in daemons
-        ) >= 1
+        # The daemon side served the RPC.
+        assert sum(t.daemon.stats["wraps"] for t in daemons) == 1
+        assert sum(t.daemon.stats["pages"] for t in daemons) == 1
 
-    def test_old_daemon_degrades_to_transport_only_span(self, trace_cluster):
+    def test_bare_page_list_reply_is_a_retryable_crash(self, trace_cluster):
+        log = io.StringIO()
         daemons, server, host, port = trace_cluster(
-            daemon_cls=LegacyShardDaemon
+            daemon_cls=LegacyShardDaemon, access_log=log
         )
         status, payload = request(
             host, port, "POST", "/extract/items", {"html": item_page(9)}
         )
-        assert status == 200, "old daemons must keep serving traced routers"
-        status, record = request(
-            host, port, "GET", f"/debug/traces/{payload['trace_id']}"
-        )
-        assert status == 200
-        root = record["root"]
-        calls = find_spans(root, "shard.call")
-        assert calls
-        assert all(c["tags"].get("degraded") == "untraced_shard" for c in calls)
-        assert find_spans(root, "kernel.run") == []
-        assert sum(
-            t.daemon.stats.get("traced_wraps", 0) for t in daemons
-        ) == 0
+        assert status != 200, "a reply of the wrong shape must never be served"
+        assert "result" not in payload
+        assert server.metrics.snapshot()["counters"].get("retries", 0) >= 1
+        lines = [json.loads(line) for line in log.getvalue().splitlines()]
+        logged = [
+            line
+            for line in lines
+            if line["event"] == "request" and line["route"] == "/extract/items"
+        ]
+        assert [line["status"] for line in logged] == [status]
+        assert logged[0]["failed_shard_calls"] >= 1
+        assert sum(t.daemon.stats["wraps"] for t in daemons) >= 1
 
-    def test_warm_path_trace_carries_route_and_call_spans(self, trace_cluster):
-        daemons, server, host, port = trace_cluster()
+    @pytest.mark.parametrize("flavour", ["inline", "process", "remote"])
+    def test_warm_path_trace_carries_route_and_call_spans(
+        self, trace_cluster, flavour
+    ):
+        shards = {"inline": 0, "process": 1, "remote": None}[flavour]
+        daemons, server, host, port = trace_cluster(shards=shards)
+        texts = [f"entry {i}" for i in range(12)]
         for version in range(2):
+            if version:
+                texts[5] = "entry five, edited"
             status, payload = request(
                 host,
                 port,
                 "POST",
                 "/extract/items",
                 {
-                    "html": f"<ul><li>item v{version}</li></ul>",
+                    "html": "".join(f"<li>{t}</li>" for t in texts),
                     "doc_id": "crawl://traced-url",
                 },
             )
@@ -480,6 +493,9 @@ class TestClusterTracePropagation:
         assert status == 200
         root = record["root"]
         routes = find_spans(root, "ring.route")
-        assert routes and "shard" in routes[0]["tags"]
+        assert routes and "rerouted" in routes[0]["tags"]
         calls = find_spans(root, "shard.call")
-        assert calls and calls[0]["tags"].get("warm") is True
+        assert len(calls) == 1 and calls[0]["tags"].get("warm") is True
+        children = {child["name"]: child for child in calls[0]["children"]}
+        assert "snapshot.build" in children
+        assert children["kernel.run"]["tags"]["engine"].startswith("incremental")
