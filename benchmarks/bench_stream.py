@@ -6,14 +6,16 @@ two ingestion pipelines:
 * the classic Node path: ``parse_html`` -> :class:`Node` tree ->
   ``UnrankedStructure`` -> per-function compiled plans -> Node output
   walk (the PR-2 baseline shape);
-* the streaming path of ``Wrapper.wrap_html_many``: tokenizer events ->
-  :class:`SnapshotBuilder` columns -> one shared kernel fixpoint ->
-  snapshot-native output, with **zero Node objects** allocated.
+* the streaming path of ``Wrapper.wrap_html_many``: the fused
+  ``html_snapshot`` loop (token regex -> snapshot columns) -> one shared
+  kernel fixpoint -> snapshot-native output, with **zero Node objects**
+  allocated.
 
 The streaming path should beat the Node path by >=2x at the largest
 catalog size; ``benchmarks/report.py`` (E-STREAM section) emits the
 recorded numbers to ``BENCH_stream.json``, including the process-pool
-fan-out (``workers=N``) on machines that offer more than one core.
+fan-out (``workers=N``) on machines that offer more than one core and
+the front end alone (``html_snapshot`` on the catalog and forum pages).
 """
 
 import pytest

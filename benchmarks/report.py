@@ -5,6 +5,8 @@ series and linear-fit diagnostics.  Usage::
 
     python benchmarks/report.py            # full sweep
     python benchmarks/report.py --smoke    # quick CI smoke subset
+    python benchmarks/report.py --smoke --front-end-baseline ../parent/src
+                                           # + the front end of another checkout
 
 Both modes additionally emit ``benchmarks/BENCH_compiled.json`` (the
 compile-once evaluation path of :mod:`repro.datalog.plan` against per-call
@@ -488,7 +490,145 @@ def _catalog_wrapper(shared: bool) -> Wrapper:
     return wrapper.compile()
 
 
-def report_stream(smoke: bool = False) -> None:
+#: The pages the ``front_end`` rows time, by name: the largest pages the
+#: repo benchmark serves, as ``repro.workloads`` generator calls.
+_FRONT_END_PAGES = {
+    "catalog": ("catalog_page", {"seed": 5, "items": 640}),
+    "forum": ("forum_page", {"seed": 0, "threads": 8, "depth": 80}),
+}
+
+#: A front-end timing worker: imports ``html_snapshot`` from the source
+#: tree given as ``argv[1]``, then for each page name read from stdin
+#: prints one call's wall time (ms), the page's UTF-8 size and its node
+#: count.
+_FRONT_END_WORKER = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+from repro import workloads
+from repro.trees.stream import html_snapshot
+pages = {name: getattr(workloads, f)(**kw) for name, (f, kw) in %r.items()}
+for line in sys.stdin:
+    page = pages[line.strip()]
+    start = time.perf_counter()
+    size = html_snapshot(page).size
+    elapsed = time.perf_counter() - start
+    print(elapsed * 1e3, len(page.encode("utf-8")), size, flush=True)
+""" % (_FRONT_END_PAGES,)
+
+
+def _git_commit(path: str = None):
+    """The commit checked out at ``path`` (``None`` without a path or git)."""
+    import subprocess
+
+    if path is None:
+        return None
+    try:
+        return subprocess.run(
+            ["git", "-C", path, "rev-parse", "--short", "HEAD"],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def _spread(times_ms: list) -> dict:
+    import statistics
+
+    quartiles = statistics.quantiles(times_ms, n=4)
+    return {
+        "median_ms": round(statistics.median(times_ms), 3),
+        "q1_ms": round(quartiles[0], 3),
+        "q3_ms": round(quartiles[2], 3),
+        "min_ms": round(min(times_ms), 3),
+        "max_ms": round(max(times_ms), 3),
+    }
+
+
+def _front_end_rows(repeat: int, baseline_src: str = None) -> list:
+    """``html_snapshot`` alone (HTML text -> snapshot columns) on each
+    page of :data:`_FRONT_END_PAGES`: median and spread over ``repeat``
+    timed calls, plus throughput in MB/s.
+
+    Calls run in a worker process on this source tree.  With
+    ``baseline_src`` (another checkout's ``src`` directory) a second
+    worker runs that tree's ``html_snapshot`` on the same pages, call by
+    call in alternating order, and each row also records the baseline's
+    spread, the ratio of the medians and how many paired calls the
+    change won.
+    """
+    import statistics
+    import subprocess
+
+    import repro
+
+    sources = {"change": str(pathlib.Path(repro.__file__).resolve().parents[1])}
+    if baseline_src is not None:
+        sources["baseline"] = baseline_src
+    workers = {
+        side: subprocess.Popen(
+            [sys.executable, "-c", _FRONT_END_WORKER, src],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for side, src in sources.items()
+    }
+
+    def call(side: str, page: str) -> tuple:
+        worker = workers[side]
+        worker.stdin.write(page + "\n")
+        worker.stdin.flush()
+        ms, size, nodes = worker.stdout.readline().split()
+        return float(ms), int(size), int(nodes)
+
+    rows = []
+    try:
+        for page, (function, kwargs) in _FRONT_END_PAGES.items():
+            generator = f"{function}({', '.join(f'{k}={v}' for k, v in kwargs.items())})"
+            shapes = {call(side, page)[1:] for side in workers}  # warm-up
+            if len(shapes) != 1:
+                raise RuntimeError(f"front end {page}: trees disagree on {shapes}")
+            size, nodes = shapes.pop()
+            times = {side: [] for side in workers}
+            order = list(workers)
+            for k in range(repeat):
+                for side in order if k % 2 == 0 else order[::-1]:
+                    times[side].append(call(side, page)[0])
+            median = statistics.median(times["change"])
+            row = {
+                "page": page,
+                "generator": generator,
+                "bytes": size,
+                "nodes": nodes,
+                "repeats": repeat,
+                **_spread(times["change"]),
+                "median_mb_s": round(size / 1e3 / median, 2),
+            }
+            line = (
+                f"    front end {page:>8}: html_snapshot median {median:7.2f} ms "
+                f"(q1 {row['q1_ms']:.2f}, q3 {row['q3_ms']:.2f}; "
+                f"{row['median_mb_s']:.2f} MB/s, {repeat} repeats)"
+            )
+            if baseline_src is not None:
+                base = _spread(times["baseline"])
+                wins = sum(c < b for c, b in zip(times["change"], times["baseline"]))
+                row["baseline"] = base
+                row["speedup_vs_baseline"] = round(base["median_ms"] / median, 2)
+                row["faster_than_baseline"] = f"{wins}/{repeat}"
+                line += (
+                    f"; baseline {base['median_ms']:.2f} ms -> "
+                    f"{row['speedup_vs_baseline']:.2f}x, faster in {wins}/{repeat}"
+                )
+            rows.append(row)
+            print(line)
+    finally:
+        for worker in workers.values():
+            worker.stdin.close()
+            worker.wait()
+    return rows
+
+
+def report_stream(smoke: bool = False, front_end_baseline: str = None) -> None:
     """E-STREAM: the Node-free streaming ingestion pipeline end to end.
 
     Emits ``benchmarks/BENCH_stream.json``: each row times wrapping a
@@ -506,9 +646,17 @@ def report_stream(smoke: bool = False) -> None:
     Paths alternate inside each repetition (best-of-N per path) so the
     comparison is robust to machine noise, and every path's outputs are
     asserted identical before any timing is reported.
+
+    The ``front_end`` rows time the fused ``html_snapshot`` loop alone on
+    the largest catalog and forum pages (median and quartiles over
+    repeats), with the machine's core count and Python version;
+    ``front_end_baseline`` (another checkout's ``src`` directory) adds
+    that tree's figures, timed alternately on the same pages (see
+    :func:`_front_end_rows`).
     """
     import gc
     import os
+    import platform
 
     print("== E-STREAM: streaming ingestion (bytes -> columns -> output) ==")
     try:
@@ -598,16 +746,24 @@ def report_stream(smoke: bool = False) -> None:
             f"stream+workers t={timings['workers'] * 1e3:8.2f} ms   "
             f"speedup={speedup_stream:5.2f}x / {speedup_workers:5.2f}x (workers={workers})"
         )
+    front_end = _front_end_rows(repeat=21 if smoke else 41, baseline_src=front_end_baseline)
     payload = {
         "experiment": "streaming_ingestion_end_to_end",
         "workload": "catalog batch, raw HTML -> wrapped output trees",
         "engine": {
             "node": "parse_html -> UnrankedStructure -> per-function plans (PR-2 baseline path)",
-            "stream": "Wrapper.wrap_html_many (scan_list -> SnapshotBuilder columns -> kernel -> snapshot output)",
+            "stream": "Wrapper.wrap_html_many (fused html_snapshot loop -> columns -> kernel -> snapshot output)",
             "stream_workers": "Wrapper.wrap_html_many(workers=N) process-pool fan-out",
+            "front_end": "html_snapshot alone: HTML text -> TreeSnapshot columns",
         },
+        "machine": {
+            "nproc": available,
+            "python": platform.python_version(),
+        },
+        "front_end_baseline_commit": _git_commit(front_end_baseline),
         "smoke": smoke,
         "rows": rows,
+        "front_end": front_end,
     }
     out_path = pathlib.Path(__file__).resolve().parent / "BENCH_stream.json"
     out_path.write_text(json.dumps(payload, indent=2) + "\n")
@@ -950,6 +1106,9 @@ def _assert_tracing_overhead_bounded() -> None:
 
 if __name__ == "__main__":
     smoke = "--smoke" in sys.argv[1:]
+    front_end_baseline = None
+    if "--front-end-baseline" in sys.argv[1:]:
+        front_end_baseline = sys.argv[sys.argv.index("--front-end-baseline") + 1]
     if "--kernel-only" in sys.argv[1:]:
         # The CI engine matrix re-runs just the kernel sweep under each
         # REPRO_VECTORIZE_PROPAGATION setting; everything else is
@@ -958,7 +1117,7 @@ if __name__ == "__main__":
     elif smoke:
         report_compiled(smoke=True)
         report_kernel(smoke=True)
-        report_stream(smoke=True)
+        report_stream(smoke=True, front_end_baseline=front_end_baseline)
         report_incremental(smoke=True)
         report_delta(smoke=True)
         _assert_remote_path_exercised()
@@ -974,7 +1133,7 @@ if __name__ == "__main__":
         report_delta()
         report_compiled()
         report_kernel()
-        report_stream()
+        report_stream(front_end_baseline=front_end_baseline)
         report_incremental()
         _assert_remote_path_exercised()
         _assert_tracing_overhead_bounded()

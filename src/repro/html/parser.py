@@ -16,21 +16,15 @@ Builds a :class:`repro.trees.Node` document from the
   synthetic ``document`` node.
 
 The tag-soup policy (void elements, implicit closers, scope barriers)
-lives in :mod:`repro.html.policy` and is shared verbatim with the
-Node-free streaming snapshot builder (:mod:`repro.trees.stream`), so the
-two front ends cannot drift apart.
+lives in :mod:`repro.html.policy`: both this builder and the Node-free
+fused snapshot loop (:mod:`repro.trees.stream`) keep their open elements
+in its :class:`~repro.html.policy.OpenElements` stack, so the two front
+ends cannot drift apart, and every tag-soup cut is linear.
 """
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.html.policy import (
-    IMPLICIT_CLOSERS,
-    VOID_ELEMENTS,
-    end_tag_cut,
-    implied_close_cut,
-)
+from repro.html.policy import IMPLICIT_CLOSERS, VOID_ELEMENTS, OpenElements
 from repro.html.tokenizer import scan_events
 from repro.trees.node import Node
 
@@ -43,37 +37,24 @@ def parse_html(html: str, root_label: str = "document") -> Node:
     'ul(li(#text), li(#text))'
     """
     synthetic_root = Node(root_label)
-    stack: List[Node] = [synthetic_root]
-    labels: List[str] = [root_label]
+    opened = OpenElements(synthetic_root)
+    stack = opened.items
 
     for event in scan_events(html):
         kind = event[0]
         if kind == "text":
             stack[-1].add_child(Node("#text", text=event[1]))
-            continue
-        if kind == "start":
+        elif kind == "start":
             _, name, attrs, self_closing = event
-            closers = IMPLICIT_CLOSERS.get(name)
-            if closers:
-                cut = implied_close_cut(labels, closers)
-                if cut < len(stack):
-                    del stack[cut:]
-                    del labels[cut:]
             element = Node(name, attrs=attrs)
-            stack[-1].add_child(element)
-            if name not in VOID_ELEMENTS and not self_closing:
-                stack.append(element)
-                labels.append(name)
-            continue
-        if kind == "end":
-            name = event[1]
-            if name in VOID_ELEMENTS:
-                continue
-            cut = end_tag_cut(labels, name)
-            if cut < len(stack):
-                del stack[cut:]
-                del labels[cut:]
-            continue
+            opened.start_tag(
+                element,
+                name,
+                IMPLICIT_CLOSERS.get(name),
+                name not in VOID_ELEMENTS and not self_closing,
+            ).add_child(element)
+        elif kind == "end":
+            opened.end_tag(event[1])
         # comments and doctypes carry no tree content
 
     # Unwrap the synthetic root when the document has one root element and

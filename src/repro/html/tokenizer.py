@@ -1,19 +1,35 @@
-"""HTML tokenization.
+"""HTML tokenization: one grammar, matched by one token regex.
 
-Two entry points over the same scanner:
+The grammar has two parts:
 
-* :func:`scan_events` -- the streaming core: a generator of plain event
-  tuples (``("start", name, attrs, self_closing)``, ``("end", name)``,
-  ``("text", data)``, ``("comment", data)``, ``("doctype", data)``) with
-  no per-token object allocation.  Both tree construction
-  (:mod:`repro.html.parser`) and the Node-free snapshot builder
-  (:mod:`repro.trees.stream`) consume these events.
-* :func:`tokenize` -- the classic API: wraps each event in a
-  :class:`Token` value.
+* :data:`_TOKEN`, a compiled regex matching, at a position, four token
+  shapes -- a text run, an end tag ``</name>``, an attribute-free start
+  tag ``<name>``, and a start tag with exactly one double-quoted
+  attribute ``<name a="v">`` (or ``/>``).  These are every token of the
+  generated catalog, forum and news pages (:mod:`repro.workloads`); a
+  tag with two attributes, say, is not one of them;
+* :func:`_slow_token`, which scans the one token at any position the
+  regex does not cover: comments, doctypes, ``script``/``style`` rawtext,
+  general attribute lists, a stray ``<`` and unterminated markup.
 
-``script`` and ``style`` contents are treated as rawtext (scanned
-verbatim until the matching close tag), as the HTML standard prescribes;
-the document is lowercased at most once for all rawtext scans combined.
+The fallback is per token: a page with a comment or a ``<script>`` goes
+back to the regex right after it.  A token outside the four shapes
+costs a failed regex attempt (bounded by the token it then scans), an
+event list and a fresh regex scanner on top of the fallback, so a page
+made mostly of such tokens can scan a little slower than a plain
+character loop would.  Two loops walk this grammar:
+
+* :func:`scan_list` -- plain event tuples (``("start", name, attrs,
+  self_closing)``, ``("end", name)``, ``("text", data)``,
+  ``("comment", data)``, ``("doctype", data)``); :func:`scan_events`,
+  :func:`tokenize` (:class:`Token` values) and
+  :func:`repro.html.parser.parse_html` consume it;
+* :func:`repro.trees.stream.html_snapshot` -- the fused snapshot loop,
+  which dispatches on the match group and appends straight to snapshot
+  columns, with no event of any kind in between.
+
+Every scan is linear in the document: no regex attempt backtracks past
+text the scan then consumes.
 """
 
 from __future__ import annotations
@@ -29,18 +45,31 @@ RAWTEXT_ELEMENTS = ("script", "style")
 #: Tag and attribute names: alphanumerics plus ``-``, ``_``, ``:``.
 _NAME = re.compile(r"[\w:-]+")
 
-#: Whole-tail fast path for the single most common attributed tag shape:
-#: one double-quoted attribute immediately followed by the tag close.
-_ONE_ATTR = re.compile(r'\s([\w:-]+)="([^"]*)"(/?)>')
-
-#: Lowercased tag names, cached (tag vocabulary is tiny; values are
-#: shared string objects, so later dict lookups hash once).
-_LOWER_NAMES: Dict[str, str] = {}
+#: One token-regex match: a (possibly empty) text run, then at most one
+#: tag of the fast shapes.  Groups: 1 the text run; 2 an end tag's name;
+#: 3 a start tag's name, with 4-6 the name, value and ``/`` of its one
+#: double-quoted attribute (``None`` when it has none).  Groups 2 and 3
+#: both ``None`` means no fast tag follows the text: it ran to the end of
+#: input or to a ``<`` only :func:`_slow_token` can scan.  ``script`` and
+#: ``style`` start tags are left to the fallback, which owns rawtext.
+#: The regex always matches, and never backtracks further than the text
+#: it returns plus one tag name, attribute name or value the fallback
+#: then consumes.
+_TOKEN = re.compile(
+    r"""([^<]*)
+    (?: </([\w:-]+)>
+      | <(?!(?:[sS][cC][rR][iI][pP][tT]|[sS][tT][yY][lL][eE])[\s>])
+        ([\w:-]+)(?:>|\s([\w:-]+)="([^"]*)"(/?)>)
+    )?""",
+    re.X,
+)
 
 #: One attribute-scanner step inside a start tag: tag close, stray slash,
-#: or ``name [= value]`` with double-quoted / single-quoted / unquoted
-#: value forms.  Unterminated quotes run to end of input; unquoted values
-#: stop at whitespace or ``>`` (and may therefore swallow a ``/``).
+#: ``name [= value]`` with double-quoted / single-quoted / unquoted value
+#: forms, or one junk character.  Unterminated quotes run to end of input;
+#: unquoted values stop at whitespace or ``>`` (and may therefore swallow
+#: a ``/``).  Matching the junk character here (rather than failing and
+#: retrying one character later) keeps whitespace runs linear.
 _ATTR = re.compile(
     r"""\s*
     (?: (?P<close>/?>)
@@ -52,9 +81,15 @@ _ATTR = re.compile(
               | (?P<uq>[^\s>]*)
             )
         )?
+      | .
     )""",
-    re.X,
+    re.X | re.S,
 )
+
+#: Case-insensitive (ASCII) searches for the end of a rawtext element.
+_RAWTEXT_CLOSE = {
+    name: re.compile(f"</{name}", re.I | re.A) for name in RAWTEXT_ELEMENTS
+}
 
 
 @dataclass
@@ -80,9 +115,6 @@ def _scan_attributes(html: str, i: int) -> Tuple[Dict[str, str], bool, int]:
     match = _ATTR.match
     while i < n:
         m = match(html, i)
-        if m is None:
-            i += 1
-            continue
         close = m.group("close")
         if close is not None:
             return attrs, close == "/>", m.end()
@@ -94,129 +126,58 @@ def _scan_attributes(html: str, i: int) -> Tuple[Dict[str, str], bool, int]:
             if value is None:
                 value = m.group("uq")
             attrs[name.lower()] = decode_entities(value) if value else ""
-        elif m.end() == i:
-            # No progress (a bare junk character): skip it.
-            i += 1
-            continue
         i = m.end()
     return attrs, False, i
 
 
-def scan_into(html: str, on_start, on_end, on_text, on_misc=None) -> None:
-    """Scan an HTML document, delivering events through callbacks.
+def _slow_token(html: str, i: int) -> Tuple[List[tuple], int]:
+    """Scan the token at ``html[i]`` that :data:`_TOKEN` does not match.
 
-    The single scanner implementation behind every front end: the event
-    list of :func:`scan_list` (and :func:`tokenize`) and the Node-free
-    streaming snapshot builder (:func:`repro.trees.stream.html_snapshot`),
-    which consumes the callbacks directly so no per-token object of any
-    kind is allocated.  Permissive, never raises on bad markup.
-
-    * ``on_start(name, attrs, self_closing)`` -- lowercased tag name,
-      attribute dict (``None`` when the tag has no attributes),
-      ``<br/>``-style flag;
-    * ``on_end(name)`` -- explicit end tags (unmatched ones included);
-    * ``on_text(data)`` -- entity-decoded text, whitespace-only runs
-      dropped, rawtext (``script``/``style``) delivered verbatim;
-    * ``on_misc(kind, data)`` -- comments and doctypes, skipped when the
-      callback is ``None``.
+    ``html[i]`` is always ``<`` (every other position starts a text run).
+    Returns the token's events -- in :func:`scan_list` form, possibly
+    none -- and the position just past it.  A start tag of a rawtext
+    element also consumes the element's verbatim content and end tag.
     """
-    i = 0
     n = len(html)
-    lower = None  # lowercased document, built at most once (rawtext scans)
     find = html.find
-    name_match = _NAME.match
-    one_attr_match = _ONE_ATTR.match
-    scan_attributes = _scan_attributes
-    decode = decode_entities
-    lower_names = _LOWER_NAMES
-    while i < n:
-        if html[i] == "<":
-            lt = i
-        else:
-            lt = find("<", i)
-            end = n if lt == -1 else lt
-            text = html[i:end]
-            if not text.isspace():
-                on_text(decode(text) if "&" in text else text)
-            if lt == -1:
-                return
-            i = lt
-        nxt = html[i + 1] if i + 1 < n else ""
-        if nxt == "!":
-            if html.startswith("<!--", i):
-                end = find("-->", i + 4)
-                if end == -1:
-                    end = n - 3
-                if on_misc is not None:
-                    on_misc("comment", html[i + 4 : end])
-                i = end + 3
-            else:
-                end = find(">", i + 2)
-                if end == -1:
-                    end = n - 1
-                if on_misc is not None:
-                    on_misc("doctype", html[i + 2 : end].strip())
-                i = end + 1
-            continue
-        if nxt == "/":
-            m = name_match(html, i + 2)
-            if m is None:
-                end = find(">", i + 2)
-            else:
-                end = find(">", m.end())
-                raw_name = m.group()
-                name = lower_names.get(raw_name)
-                if name is None:
-                    name = raw_name.lower()
-                    if len(lower_names) < 4096:
-                        lower_names[raw_name] = name
-                on_end(name)
-            i = (end + 1) if end != -1 else n
-            continue
-        m = name_match(html, i + 1)
+    nxt = html[i + 1] if i + 1 < n else ""
+    if nxt == "!":
+        if html.startswith("<!--", i):
+            end = find("-->", i + 4)
+            if end == -1:
+                end = n - 3
+            return [("comment", html[i + 4 : end])], end + 3
+        end = find(">", i + 2)
+        if end == -1:
+            end = n - 1
+        return [("doctype", html[i + 2 : end].strip())], end + 1
+    if nxt == "/":
+        m = _NAME.match(html, i + 2)
         if m is None:
-            # A stray '<' -- treat as text.
-            on_text("<")
-            i += 1
-            continue
-        raw_name = m.group()
-        name = lower_names.get(raw_name)
-        if name is None:
-            name = raw_name.lower()
-            if len(lower_names) < 4096:
-                lower_names[raw_name] = name
-        j = m.end()
-        if j < n and html[j] == ">":
-            # Fast path: attribute-free tag, by far the common case.
-            attrs = None
-            self_closing = False
-            i = j + 1
+            end = find(">", i + 2)
+            events = []
         else:
-            m = one_attr_match(html, j)
-            if m is not None:
-                # Fast path: exactly one double-quoted attribute.
-                value = m.group(2)
-                if value and "&" in value:
-                    value = decode(value)
-                attrs = {m.group(1).lower(): value}
-                self_closing = m.group(3) == "/"
-                i = m.end()
-            else:
-                attrs, self_closing, i = scan_attributes(html, j)
-        on_start(name, attrs, self_closing)
-        if name in RAWTEXT_ELEMENTS and not self_closing:
-            if lower is None:
-                lower = html.lower()
-            close = lower.find(f"</{name}", i)
-            if close == -1:
-                close = n
-            raw = html[i:close]
-            if raw and not raw.isspace():
-                on_text(raw)
-            gt = find(">", close)
-            if close < n:
-                on_end(name)
-            i = (gt + 1) if gt != -1 else n
+            end = find(">", m.end())
+            events = [("end", m.group().lower())]
+        return events, (end + 1) if end != -1 else n
+    m = _NAME.match(html, i + 1)
+    if m is None:
+        # A stray '<' -- treat as text.
+        return [("text", "<")], i + 1
+    name = m.group().lower()
+    attrs, self_closing, i = _scan_attributes(html, m.end())
+    events = [("start", name, attrs, self_closing)]
+    if name in RAWTEXT_ELEMENTS and not self_closing:
+        close = _RAWTEXT_CLOSE[name].search(html, i)
+        close = n if close is None else close.start()
+        raw = html[i:close]
+        if raw and not raw.isspace():
+            events.append(("text", raw))
+        if close < n:
+            events.append(("end", name))
+        gt = find(">", close)
+        i = (gt + 1) if gt != -1 else n
+    return events, i
 
 
 def scan_list(html: str) -> List[tuple]:
@@ -224,31 +185,45 @@ def scan_list(html: str) -> List[tuple]:
 
     Permissive, never raises on bad markup.  In document order:
 
-    * ``("start", name, attrs, self_closing)``
-    * ``("end", name)``
-    * ``("text", data)`` (entity-decoded, whitespace-only runs dropped)
+    * ``("start", name, attrs, self_closing)`` (lowercased names)
+    * ``("end", name)`` (explicit end tags, unmatched ones included)
+    * ``("text", data)`` (entity-decoded, whitespace-only runs dropped,
+      rawtext delivered verbatim)
     * ``("comment", data)`` / ``("doctype", data)``
+
+    >>> scan_list('<p class="x">a &amp; b</P><br/>')
+    [('start', 'p', {'class': 'x'}, False), ('text', 'a & b'), ('end', 'p'), ('start', 'br', {}, True)]
     """
     out: List[tuple] = []
     emit = out.append
-    scan_into(
-        html,
-        lambda name, attrs, self_closing: emit(
-            ("start", name, attrs if attrs is not None else {}, self_closing)
-        ),
-        lambda name: emit(("end", name)),
-        lambda data: emit(("text", data)),
-        lambda kind, data: emit((kind, data)),
-    )
+    decode = decode_entities
+    scan = _TOKEN.scanner(html).match
+    n = len(html)
+    while True:
+        m = scan()
+        text, end_name, name, attr_name, value, slash = m.groups()
+        if text and not text.isspace():
+            emit(("text", decode(text) if "&" in text else text))
+        if name is not None:
+            attrs = {}
+            if attr_name is not None:
+                attrs[attr_name.lower()] = decode(value) if "&" in value else value
+            emit(("start", name.lower(), attrs, slash == "/"))
+        elif end_name is not None:
+            emit(("end", end_name.lower()))
+        else:
+            i = m.end()
+            if i == n:
+                break
+            events, i = _slow_token(html, i)
+            out.extend(events)
+            scan = _TOKEN.scanner(html, i).match
     return out
 
 
 def scan_events(html: str) -> Iterator[tuple]:
-    """Iterate the event tuples of :func:`scan_list`.
-
-    Note that the full event list is materialized up front (a few dozen
-    bytes per event); consumers needing callback-grained delivery with no
-    buffering should drive :func:`scan_into` directly.
+    """Iterate the event tuples of :func:`scan_list` (materialized up
+    front, a few dozen bytes per event).
 
     >>> [e[0] for e in scan_events('<p class="x">hi</p>')]
     ['start', 'text', 'end']
@@ -261,7 +236,7 @@ def tokenize(html: str) -> Iterator[Token]:
 
     A thin :class:`Token`-building wrapper over :func:`scan_list` (the
     event list is materialized up front; :class:`Token` objects are built
-    lazily); the streaming pipeline consumes the events directly.
+    lazily).
 
     >>> [t.kind for t in tokenize('<p class="x">hi</p>')]
     ['start', 'text', 'end']

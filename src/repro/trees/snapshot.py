@@ -172,7 +172,8 @@ class TreeSnapshot:
     :meth:`repro.trees.ranked.RankedStructure.snapshot` (and cached there
     and on :class:`repro.structures.IndexedStructure`) via
     :meth:`from_tree`, or column-by-column -- without any
-    :class:`~repro.trees.node.Node` allocation -- by the streaming
+    :class:`~repro.trees.node.Node` allocation -- by
+    :func:`repro.trees.stream.html_snapshot` and the streaming
     :class:`repro.trees.stream.SnapshotBuilder`; not usually constructed
     by hand.
 

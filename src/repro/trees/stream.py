@@ -1,27 +1,27 @@
-"""Streaming snapshot construction: document events -> columns, no Nodes.
+"""Streaming snapshot construction: document -> columns, no Nodes.
 
 The classic ingestion path allocates a :class:`~repro.trees.node.Node`
 per element/text token, walks the tree again to assign identifiers
 (:class:`~repro.trees.unranked.UnrankedStructure`), and only then
 flattens into the integer columns the propagation kernel reads.  This
-module collapses those three passes into one: a
-:class:`SnapshotBuilder` consumes open/text/close events and writes the
-:class:`~repro.trees.snapshot.TreeSnapshot` columns directly, assigning
-identifiers in document order as elements open.  Nothing but flat lists
-is ever allocated, so huge pages can be wrapped with the runtime touching
-only arrays from bytes to output.
+module writes the :class:`~repro.trees.snapshot.TreeSnapshot` columns
+directly, assigning identifiers in document order as nodes appear.
+Nothing but flat lists is ever allocated, so huge pages can be wrapped
+with the runtime touching only arrays from bytes to output.
 
-Event sources:
+Sources:
 
-* :func:`html_snapshot` -- drives the builder from
-  :func:`repro.html.tokenizer.scan_events`, applying the *same*
-  void-element / implicit-close / end-tag policy as
-  :func:`repro.html.parser.parse_html` (both delegate to
-  :mod:`repro.html.policy`, so the two front ends cannot drift), with
-  identical synthetic-root unwrapping;
-* :func:`sexpr_snapshot` -- the s-expression reader;
-* :func:`tree_snapshot` -- replays an existing :class:`Node` tree as
-  events (parity harness, and snapshots for generated trees).
+* :func:`html_snapshot` -- one fused loop from HTML text to columns: it
+  matches the tokenizer's token regex itself and appends each token
+  straight to the columns (no events, no builder), falling back to the
+  tokenizer's per-token slow path for anything else; tag-soup decisions
+  go through the same :class:`~repro.html.policy.OpenElements` stack as
+  :func:`repro.html.parser.parse_html`, so the two front ends cannot
+  drift, and the synthetic root is unwrapped by the same rule;
+* :class:`SnapshotBuilder` -- open/leaf/close events to columns, driven
+  by :func:`tree_snapshot` (replays an existing :class:`Node` tree:
+  parity harness, and snapshots for generated trees) and
+  :func:`sexpr_snapshot` (the s-expression reader).
 
 Parity invariant (enforced by ``tests/test_stream.py``): for every
 document, ``html_snapshot(doc)`` is column-identical to
@@ -69,7 +69,6 @@ class SnapshotBuilder:
         "_texts",
         "_attrs",
         "_stack",
-        "stack_labels",
     )
 
     def __init__(self):
@@ -84,9 +83,6 @@ class SnapshotBuilder:
         self._texts: Dict[int, str] = {}
         self._attrs: Dict[int, Dict[str, str]] = {}
         self._stack: List[int] = []
-        #: Labels of the open elements (shared with the tag-soup policy
-        #: helpers, which compute cut indexes over this list).
-        self.stack_labels: List[str] = []
 
     @property
     def size(self) -> int:
@@ -144,7 +140,6 @@ class SnapshotBuilder:
         """Open an element; returns its document-order id."""
         nid = self._append(label, text, attrs)
         self._stack.append(nid)
-        self.stack_labels.append(label)
         return nid
 
     def leaf(
@@ -165,70 +160,10 @@ class SnapshotBuilder:
         if not self._stack:
             raise TreeError("no open element to close")
         self._stack.pop()
-        self.stack_labels.pop()
-
-    def close_to(self, cut: int) -> None:
-        """Close open elements until only ``cut`` remain."""
-        if cut < len(self._stack):
-            del self._stack[cut:]
-            del self.stack_labels[cut:]
-
-    def strip_root(self) -> None:
-        """Drop node 0, promoting its single child to the root.
-
-        This is the streaming counterpart of the synthetic-root unwrapping
-        in :func:`repro.html.parser.parse_html`; it requires node 0 to
-        have exactly one child.
-        """
-        if not self._parent or self._parent[0] != -1:
-            raise TreeError("no root to strip")
-        first = self._firstchild[0]
-        if first < 0 or first != self._lastchild[0]:
-            raise TreeError("root does not have exactly one child")
-        for column in (
-            self._parent,
-            self._firstchild,
-            self._nextsibling,
-            self._prevsibling,
-            self._lastchild,
-        ):
-            column[:] = [v - 1 if v > 0 else -1 for v in column]
-            del column[0]
-        # Re-intern labels: the dropped root's label may no longer occur,
-        # and label ids must match first-occurrence order over the
-        # remaining nodes (column parity with the Node-built snapshot).
-        label_ids = self._label_ids
-        del label_ids[0]
-        if 0 not in label_ids:
-            # Fast path: the synthetic root's label (id 0, interned first)
-            # occurs nowhere else, so dropping it shifts every id by one
-            # while preserving first-occurrence order.
-            label_ids[:] = [lid - 1 for lid in label_ids]
-            del self._labels[0]
-            self._label_index = {
-                name: lid for lid, name in enumerate(self._labels)
-            }
-        else:
-            old_labels = self._labels
-            labels: List[str] = []
-            label_index: Dict[str, int] = {}
-            for i, lid in enumerate(label_ids):
-                name = old_labels[lid]
-                new = label_index.get(name)
-                if new is None:
-                    new = label_index[name] = len(labels)
-                    labels.append(name)
-                label_ids[i] = new
-            self._labels = labels
-            self._label_index = label_index
-        self._texts = {k - 1: v for k, v in self._texts.items() if k}
-        self._attrs = {k - 1: v for k, v in self._attrs.items() if k}
-        self._stack = [v - 1 for v in self._stack if v > 0]
-        del self.stack_labels[: len(self.stack_labels) - len(self._stack)]
 
     def finish(self, schema: str = "unranked", max_rank: int = 0) -> TreeSnapshot:
         """Close any open elements and return the finished snapshot."""
-        self.close_to(0)
+        self._stack.clear()
         return TreeSnapshot(
             schema,
             self._parent,
@@ -250,97 +185,144 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
 
     Column-identical to ``UnrankedStructure(parse_html(html)).snapshot()``
     -- same document-order ids, same interned labels, same tag-soup
-    handling -- but built in a single pass over the token events.
+    handling -- but built in one fused loop: the tokenizer's token regex
+    (:data:`repro.html.tokenizer._TOKEN`) is matched here, and each match
+    is dispatched on its group and appended straight to the ``parent`` /
+    ``label_ids`` / ``texts`` / ``attrs`` columns.  Positions the regex
+    does not cover go through :func:`repro.html.tokenizer._slow_token`,
+    one token at a time.  Tag-soup decisions go through
+    :class:`repro.html.policy.OpenElements`, shared with
+    :func:`repro.html.parser.parse_html`.
 
-    This is the batch pipeline's hottest loop, so the column appends of
-    :meth:`SnapshotBuilder._append` are inlined over the builder's own
-    lists (the randomized parity suite in ``tests/test_stream.py`` pins
-    the equivalence); all tag-soup policy decisions still go through
-    :mod:`repro.html.policy`, shared with :func:`repro.html.parser.parse_html`.
+    The root is a stack sentinel (parent ``-1``): a page with exactly one
+    non-text top-level node is rooted at it as is, and only other pages
+    get the synthetic ``root_label`` node prepended, once, at the end.
 
     >>> snap = html_snapshot("<ul><li>a<li>b</ul>")
     >>> [snap.labels[l] for l in snap.label_ids]
     ['ul', 'li', '#text', 'li', '#text']
     """
-    from repro.html.policy import (
-        IMPLICIT_CLOSERS,
-        VOID_ELEMENTS,
-        end_tag_cut,
-        implied_close_cut,
-    )
-    from repro.html.tokenizer import scan_into
+    from repro.html.entities import decode_entities
+    from repro.html.policy import IMPLICIT_CLOSERS, VOID_ELEMENTS, OpenElements
+    from repro.html.tokenizer import _TOKEN, _slow_token
 
-    builder = SnapshotBuilder()
-    builder.open(root_label)
-    parent = builder._parent
-    label_ids = builder._label_ids
-    labels = builder._labels
-    label_index = builder._label_index
-    texts = builder._texts
-    attrs_column = builder._attrs
-    stack = builder._stack
-    stack_labels = builder.stack_labels
-    text_lid = -1
-    get_closers = IMPLICIT_CLOSERS.get
-    get_lid = label_index.get
+    parent: List[int] = []
+    label_ids: List[int] = []
+    labels: List[str] = []
+    label_index: Dict[str, int] = {}
+    texts: Dict[int, str] = {}
+    attrs_column: Dict[int, Dict[str, str]] = {}
+    opened = OpenElements(-1)
+    stack = opened.items
+    open_labels = opened.labels
+    start_tag = opened.start_tag
+    end_tag = opened.end_tag
     parent_append = parent.append
     label_ids_append = label_ids.append
+    decode = decode_entities
+    # Per-call tag info, raw start-tag name -> (name, label id, closers,
+    # void): label ids are per document, so this never outlives the call.
+    tags: Dict[str, tuple] = {}
+    text_lid = -1
+    pending: List[tuple] = []  # the events of a slow token, reversed
+    scan = _TOKEN.scanner(html).match
+    n = len(html)
+    while True:
+        if pending:
+            event = pending.pop()
+            kind = event[0]
+            text = raw = raw_end = None
+            if kind == "text":
+                text = event[1]
+            elif kind == "start":
+                _, raw, attrs, self_closing = event
+            elif kind == "end":
+                raw_end = event[1]
+            # comments and doctypes carry no tree content
+        else:
+            m = scan()
+            text, raw_end, raw, attr_name, value, slash = m.groups()
+            if text:
+                if text.isspace():
+                    text = None
+                elif "&" in text:
+                    text = decode(text)
+            if raw is not None:
+                if attr_name is None:
+                    attrs = None
+                    self_closing = False
+                else:
+                    if "&" in value:
+                        value = decode(value)
+                    attrs = {attr_name.lower(): value}
+                    self_closing = slash == "/"
+            elif raw_end is None:
+                # The text (if any) ran to the end of input or to a '<'
+                # the regex does not cover: scan that one token slowly.
+                i = m.end()
+                if i < n:
+                    pending, i = _slow_token(html, i)
+                    pending.reverse()
+                    scan = _TOKEN.scanner(html, i).match
+                elif not text:
+                    break
+                # else: append the last text run below; the next match
+                # is the empty one at the end of input.
 
-    def on_text(data):
-        nonlocal text_lid
-        if text_lid < 0:
-            text_lid = get_lid("#text", -1)
+        if text:
             if text_lid < 0:
                 text_lid = label_index["#text"] = len(labels)
                 labels.append("#text")
-        texts[len(parent)] = data
-        parent_append(stack[-1])
-        label_ids_append(text_lid)
+            texts[len(parent)] = text
+            parent_append(stack[-1])
+            label_ids_append(text_lid)
+        if raw is not None:
+            info = tags.get(raw)
+            if info is None:
+                name = raw.lower()
+                lid = label_index.get(name)
+                if lid is None:
+                    lid = label_index[name] = len(labels)
+                    labels.append(name)
+                info = tags[raw] = (
+                    name, lid, IMPLICIT_CLOSERS.get(name), name in VOID_ELEMENTS
+                )
+            name, lid, closers, void = info
+            nid = len(parent)
+            parent_append(start_tag(nid, name, closers, not (void or self_closing)))
+            label_ids_append(lid)
+            if attrs:
+                attrs_column[nid] = attrs
+        elif raw_end is not None:
+            end_tag(raw_end if raw_end == open_labels[-1] else raw_end.lower())
 
-    def on_start(name, attrs, self_closing):
-        closers = get_closers(name)
-        if closers:
-            cut = implied_close_cut(stack_labels, closers)
-            if cut < len(stack):
-                del stack[cut:]
-                del stack_labels[cut:]
-        nid = len(parent)
-        parent_append(stack[-1])
-        lid = get_lid(name)
-        if lid is None:
-            lid = label_index[name] = len(labels)
-            labels.append(name)
-        label_ids_append(lid)
-        if attrs:
-            attrs_column[nid] = attrs
-        if not self_closing and name not in VOID_ELEMENTS:
-            stack.append(nid)
-            stack_labels.append(name)
-
-    def on_end(name):
-        if stack_labels[-1] == name and len(stack) > 1:
-            # Fast path: the end tag matches the innermost open element
-            # (equivalent to end_tag_cut returning len-1).
-            stack.pop()
-            stack_labels.pop()
-        elif name not in VOID_ELEMENTS:
-            cut = end_tag_cut(stack_labels, name)
-            if cut < len(stack):
-                del stack[cut:]
-                del stack_labels[cut:]
-
-    # Comments and doctypes carry no tree content (on_misc=None).
-    scan_into(html, on_start, on_end, on_text)
+    size = len(parent)
+    if not size or label_ids[0] == text_lid or parent.count(-1) != 1:
+        # No single element root: prepend the synthetic root once (same
+        # rule as parse_html), re-interning labels in first-occurrence order.
+        parent = [-1] + [p + 1 for p in parent]
+        names = [root_label] + [labels[lid] for lid in label_ids]
+        labels = []
+        label_index = {}
+        label_ids = []
+        for name in names:
+            lid = label_index.get(name)
+            if lid is None:
+                lid = label_index[name] = len(labels)
+                labels.append(name)
+            label_ids.append(lid)
+        texts = {k + 1: v for k, v in texts.items()}
+        attrs_column = {k + 1: v for k, v in attrs_column.items()}
+        size += 1
 
     # Derive the sibling-link columns from ``parent`` in one pass: ids
     # are preorder, so each node's children arrive in document order and
     # the running last-child table is exactly ``lastchild`` at the end.
-    n = len(parent)
-    firstchild = [-1] * n
-    nextsibling = [-1] * n
-    prevsibling = [-1] * n
-    lastchild = [-1] * n
-    for v in range(1, n):
+    firstchild = [-1] * size
+    nextsibling = [-1] * size
+    prevsibling = [-1] * size
+    lastchild = [-1] * size
+    for v in range(1, size):
         p = parent[v]
         previous = lastchild[p]
         if previous < 0:
@@ -349,17 +331,19 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
             nextsibling[previous] = v
             prevsibling[v] = previous
         lastchild[p] = v
-    builder._firstchild = firstchild
-    builder._nextsibling = nextsibling
-    builder._prevsibling = prevsibling
-    builder._lastchild = lastchild
-
-    # Unwrap the synthetic root when the document has one root element and
-    # no top-level text (same rule as parse_html).
-    first = firstchild[0]
-    if first >= 0 and first == lastchild[0] and labels[label_ids[first]] != "#text":
-        builder.strip_root()
-    return builder.finish()
+    return TreeSnapshot(
+        "unranked",
+        parent,
+        firstchild,
+        nextsibling,
+        prevsibling,
+        lastchild,
+        label_ids,
+        labels,
+        label_index,
+        texts=texts,
+        attrs=attrs_column,
+    )
 
 
 def tree_snapshot(root: Node, schema: str = "unranked", max_rank: int = 0) -> TreeSnapshot:

@@ -342,21 +342,23 @@ def build_output_tree(
         Record the source subtree's text content on leaf output nodes.
     """
     out_root = OutputNode(root_label)
-
-    def walk(node: Node, parent_out: OutputNode) -> None:
+    kept = []
+    # Explicit preorder stack, like to_sexpr / iter_subtree: arbitrarily
+    # deep input trees never hit the recursion limit.
+    stack = [(root, out_root)]
+    while stack:
+        node, parent_out = stack.pop()
         label = assignment.get(id(node))
         if label is not None:
-            out_node = parent_out.add(OutputNode(label, source=node))
-        else:
-            out_node = parent_out
-        for child in node.children:
-            walk(child, out_node)
-        if label is not None and capture_text and not out_node.children:
-            text = node_text(node)
-            if text:
-                out_node.text = text
-
-    walk(root, out_root)
+            parent_out = parent_out.add(OutputNode(label, source=node))
+            kept.append((node, parent_out))
+        stack.extend((child, parent_out) for child in reversed(node.children))
+    if capture_text:
+        for node, out_node in kept:
+            if not out_node.children:
+                text = node_text(node)
+                if text:
+                    out_node.text = text
     return out_root
 
 

@@ -16,6 +16,7 @@ import repro.elog.parser
 import repro.elog.paths
 import repro.html.entities
 import repro.html.parser
+import repro.html.policy
 import repro.html.tokenizer
 import repro.mso.parser
 import repro.serve.cache
@@ -39,6 +40,7 @@ import repro.trees.merkle
 import repro.trees.node
 import repro.trees.ranked
 import repro.trees.snapshot
+import repro.trees.stream
 import repro.trees.unranked
 import repro.wrap.extraction
 import repro.wrap.output
@@ -50,6 +52,7 @@ MODULES = [
     repro.trees.node,
     repro.trees.binary,
     repro.trees.snapshot,
+    repro.trees.stream,
     repro.trees.unranked,
     repro.trees.ranked,
     repro.trees.generate,
@@ -68,6 +71,7 @@ MODULES = [
     repro.html.entities,
     repro.html.tokenizer,
     repro.html.parser,
+    repro.html.policy,
     repro.serve.cache,
     repro.serve.executor,
     repro.serve.faults,

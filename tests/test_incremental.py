@@ -2,7 +2,7 @@
 
 Covers the whole warm path bottom up:
 
-* Merkle/signature stability -- the streaming :class:`SnapshotBuilder`
+* Merkle/signature stability -- the fused ``html_snapshot`` loop
   and the Node-tree path must hash identical documents identically
   (including randomized tag-soup HTML, where implied closes reshape the
   tree the same way on both paths);

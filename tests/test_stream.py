@@ -52,7 +52,14 @@ SOUP_PIECES = [
     "<i a='q'>", '<b a="un', "</ p>", "<dt>d", "<dd>e", "<option>o",
     "<tbody>", "<thead>", "<html>", "<body>", "</body>", "<div>", "</div>",
     "<p>par<p>par2", "<select>", "</select>", "x &amp; y", "<a href='/x?a=1&amp;b=2'>y</a>",
+    # Shapes a token regex gets wrong first.
+    "<td >", '<td\tclass="x">', '<TD CLASS="X">', '<a title="a>b">', "<p/>", "</p >",
+    '<a href="/x" id=k class=\'c\'>', "<input disabled>", '<i title="x &amp; y">',
+    '<li class="x" checked>', "<!-->", "</TD>", "<Ul>", "</LI >", " \n ",
 ]
+
+#: Pieces that only make sense as the last thing on the page.
+EOF_PIECES = ['<td class="x"', "<", "<!-->", "<!-- open", "</li", "<b a=\"un", "<!DOCTYPE"]
 
 
 def soup(rng: random.Random, pieces: int = 14) -> str:
@@ -96,6 +103,13 @@ class TestSnapshotParity:
             streamed = html_snapshot(doc)
             assert columns(via_nodes) == columns(streamed), repr(doc)
 
+    def test_unterminated_markup_at_eof_parity(self):
+        rng = random.Random(20261017)
+        for _ in range(200):
+            doc = soup(rng, pieces=6) + rng.choice(EOF_PIECES)
+            via_nodes = UnrankedStructure(parse_html(doc)).snapshot()
+            assert columns(via_nodes) == columns(html_snapshot(doc)), repr(doc)
+
     def test_workload_page_parity(self):
         for page in (
             catalog_page(seed=1, items=120),
@@ -108,11 +122,38 @@ class TestSnapshotParity:
     def test_root_unwrapping_matches_parse_html(self):
         # Single element root unwraps; top-level text or siblings keep the
         # synthetic document node -- exactly as parse_html decides.
-        for doc in ("<html><p>x</p></html>", "a<p>b</p>", "<p>a</p><p>b</p>", "", "plain"):
+        for doc in (
+            "<html><p>x</p></html>", "a<p>b</p>", "<p>a</p><p>b</p>", "", "plain",
+            "  only text  ", "<!-- c -->text", "<document><p>x</document>y",
+            "<p>x</p>tail", "\n<html></html>\n", "<br>", "<br><br>",
+        ):
             tree = parse_html(doc)
             streamed = html_snapshot(doc)
             assert streamed.labels[streamed.label_ids[0]] == tree.label, repr(doc)
             assert columns(UnrankedStructure(tree).snapshot()) == columns(streamed)
+
+    def test_slow_path_is_per_token(self, monkeypatch):
+        # A comment and a <script> go through the fallback one token each;
+        # every other token of the page stays on the token regex.
+        from repro.html import tokenizer
+
+        calls = []
+        slow_token = tokenizer._slow_token
+
+        def counting(html, i):
+            calls.append(html[i : i + 4])
+            return slow_token(html, i)
+
+        monkeypatch.setattr(tokenizer, "_slow_token", counting)
+        page = catalog_page(seed=1, items=50)
+        html_snapshot(page)
+        tokenizer.scan_list(page)
+        assert calls == []
+        doc = page.replace("<h1>", "<!-- c --><script>x</script><h1>")
+        via_nodes = UnrankedStructure(parse_html(doc)).snapshot()
+        assert calls == ["<!--", "<scr"]
+        assert columns(via_nodes) == columns(html_snapshot(doc))
+        assert calls == ["<!--", "<scr"] * 2
 
     def test_sexpr_and_tree_replays(self):
         rng = random.Random(5)

@@ -7,6 +7,7 @@ import pytest
 from repro.datalog.parser import parse_program
 from repro.errors import WrapError
 from repro.html import parse_html, tokenize
+from repro.html.tokenizer import scan_list
 from repro.html.entities import decode_entities
 from repro.mso import parse_mso
 from repro.trees import UnrankedStructure, parse_sexpr
@@ -44,6 +45,21 @@ class TestOutputTree:
         paragraph = next(n for n in tree.iter_subtree() if n.label == "p")
         out = build_output_tree(tree, {id(paragraph): "para"})
         assert out.children[0].text == "hello world"
+
+    def test_deep_input_does_not_recurse(self):
+        # Regression: the builder used to recurse once per input level.
+        depth = 5_000
+        tree = parse_html("<div>" * depth + "x" + "</div>" * depth)
+        wrapper = Wrapper().add_datalog(
+            "d", parse_program("d(x) :- label_div(x).", query="d")
+        )
+        out = wrapper.wrap(tree)
+        node, levels = out, 0
+        while node.children:
+            (node,) = node.children
+            levels += 1
+        assert levels == depth and node.text == "x"
+        assert out.to_sexpr().count("d") == depth
 
 
 class TestWrapper:
@@ -100,6 +116,56 @@ class TestEntities:
         assert decode_entities("&bogus; & x") == "&bogus; & x"
 
 
+#: ``scan_list`` events pinned on a fixed corpus: the token regex fast
+#: path and the per-token fallback must reproduce these exactly, including
+#: every shape a token regex gets wrong first (whitespace before ``>``,
+#: quoted ``>``, self-closing syntax, multi-attribute and valueless
+#: attributes, unterminated markup at end of input, rawtext, stray ``<``).
+GOLDEN_EVENTS = [
+    ('<p class="x">hi</p>', [('start', 'p', {'class': 'x'}, False), ('text', 'hi'), ('end', 'p')]),
+    ('<td >a</td >', [('start', 'td', {}, False), ('text', 'a'), ('end', 'td')]),
+    ('<td\tclass="x">b', [('start', 'td', {'class': 'x'}, False), ('text', 'b')]),
+    ('<TD CLASS="X">c</TD>', [('start', 'td', {'class': 'X'}, False), ('text', 'c'), ('end', 'td')]),
+    ('<a title="a>b">t</a>', [('start', 'a', {'title': 'a>b'}, False), ('text', 't'), ('end', 'a')]),
+    ('<p/>x<br/>', [('start', 'p', {}, True), ('text', 'x'), ('start', 'br', {}, True)]),
+    ('</p >', [('end', 'p')]),
+    ('<a href="/x" checked data-i=3 class=\'q\'>y</a>', [('start', 'a', {'href': '/x', 'checked': '', 'data-i': '3', 'class': 'q'}, False), ('text', 'y'), ('end', 'a')]),
+    ('<input disabled>', [('start', 'input', {'disabled': ''}, False)]),
+    ('<a title="x &amp; y">z</a>', [('start', 'a', {'title': 'x & y'}, False), ('text', 'z'), ('end', 'a')]),
+    ('<a title="x &amp; y" id=k>z</a>', [('start', 'a', {'title': 'x & y', 'id': 'k'}, False), ('text', 'z'), ('end', 'a')]),
+    ('<td class="x"', [('start', 'td', {'class': 'x'}, False)]),
+    ('text <', [('text', 'text '), ('text', '<')]),
+    ('<!-->after', [('comment', '>af')]),
+    ('<!-- c --><!DOCTYPE html><p>', [('comment', ' c '), ('doctype', 'DOCTYPE html'), ('start', 'p', {}, False)]),
+    ('<!DOCTYPE', [('doctype', 'DOCTYP')]),
+    ('<!--unterminated <b>x</b>', [('comment', 'unterminated <b>x<')]),
+    ('only text &amp; more', [('text', 'only text & more')]),
+    ('<script>if (a<b) x();</script><p>', [('start', 'script', {}, False), ('text', 'if (a<b) x();'), ('end', 'script'), ('start', 'p', {}, False)]),
+    ('<SCRIPT type="t">X</ScRiPt >y', [('start', 'script', {'type': 't'}, False), ('text', 'X'), ('end', 'script'), ('text', 'y')]),
+    ('<style>p{}</style><script/>z', [('start', 'style', {}, False), ('text', 'p{}'), ('end', 'style'), ('start', 'script', {}, True), ('text', 'z')]),
+    ('<script>never closed', [('start', 'script', {}, False), ('text', 'never closed')]),
+    ('a < b <3> </ p> </>', [('text', 'a '), ('text', '<'), ('text', ' b '), ('start', '3', {}, False)]),
+    ('<b a="un', [('start', 'b', {'a': 'un'}, False)]),
+    ('</x y="1">', [('end', 'x')]),
+    ('</a </a </a', [('end', 'a')]),
+    ('&#x41&#x41 &bogus; &#65;', [('text', '&#x41&#x41 &bogus; A')]),
+    ('<ul>\n  <li>one\n  <li>two\n</ul>\n', [('start', 'ul', {}, False), ('start', 'li', {}, False), ('text', 'one\n  '), ('start', 'li', {}, False), ('text', 'two\n'), ('end', 'ul')]),
+    ('<div  id="two-spaces">q</div>', [('start', 'div', {'id': 'two-spaces'}, False), ('text', 'q'), ('end', 'div')]),
+    ('<i a=\'q\' b = "r" c=s/>', [('start', 'i', {'a': 'q', 'b': 'r', 'c': 's/'}, False)]),
+    ('<x:y-z data-a_b="1">ns</x:y-z>', [('start', 'x:y-z', {'data-a_b': '1'}, False), ('text', 'ns'), ('end', 'x:y-z')]),
+]
+
+
+class TestGoldenEvents:
+    @pytest.mark.parametrize("doc,events", GOLDEN_EVENTS)
+    def test_scan_list_matches_golden(self, doc, events):
+        assert scan_list(doc) == events
+
+    @pytest.mark.parametrize("doc,events", GOLDEN_EVENTS)
+    def test_tokenize_agrees_with_scan_list(self, doc, events):
+        assert [t.kind for t in tokenize(doc)] == [e[0] for e in events]
+
+
 class TestTokenizer:
     def test_basic_stream(self):
         kinds = [t.kind for t in tokenize('<p class="x">hi</p>')]
@@ -122,6 +188,16 @@ class TestTokenizer:
         assert tokens[0].name == "script"
         assert tokens[1].data == "if (a<b) x();"
         assert tokens[2].kind == "end"
+
+    def test_rawtext_end_after_length_changing_lowercase(self):
+        # "İ".lower() is two characters; searching a lowercased copy of the
+        # document used to misplace the end of the rawtext by one.
+        assert scan_list("<script>İİ</SCRIPT>x") == [
+            ("start", "script", {}, False),
+            ("text", "İİ"),
+            ("end", "script"),
+            ("text", "x"),
+        ]
 
     def test_stray_lt(self):
         tokens = list(tokenize("a < b"))
