@@ -101,12 +101,15 @@ def test_kernel_engine_matrix(benchmark, items, engine):
 
 @pytest.mark.parametrize("depth", [1000, 2000])
 def test_kernel_deep_chain(benchmark, depth):
-    """Deep-tree workload: single-bit frontiers bail out to the worklist."""
+    """Deep-tree workload: a forward descent, run by one sweep pass."""
     compiled = compile_program(parse_program(_DEEP_PROGRAM, query="deep"))
     structure = as_indexed(UnrankedStructure(chain_tree(depth)))
     compiled.run(structure, method="kernel")  # warm the columnar snapshot
     result = benchmark(compiled.run, structure, "kernel")
     assert result.query_result() == {depth - 1}
+    assert result.engine == (
+        "sweep" if kernel_mod.VECTORIZE_PROPAGATION else "worklist"
+    )
 
 
 @pytest.mark.parametrize("items", [320])

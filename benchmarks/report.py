@@ -270,6 +270,83 @@ def _timed_kernel_pair(compiled, indexed, repeat: int):
         kernel_mod.VECTORIZE_PROPAGATION = saved
 
 
+def _timed_kernel_engines(compiled, indexed, repeat: int) -> dict:
+    """Best-of-N kernel timings through every engine, interleaved.
+
+    Runs the document-order sweep (when the program takes it), the
+    frontier engine (with its narrow-frontier worklist handoff) and the
+    scalar worklist one after another inside each repetition, so all
+    engines sample the same machine-noise windows and their ratios are
+    robust to load drift (same scheme as the streaming report).  The
+    default dispatch picks only one set-at-a-time engine per program, so
+    the engines are driven directly; each timed leg binds the document and
+    runs one engine, which is ``compiled.run(method="kernel")`` less the
+    result object.  Returns ``{name: (seconds, relations,
+    reported_engine)}`` for the engines that apply.
+    """
+    kernel = compiled._kernel
+    compiled.run(indexed, method="kernel")  # warm snapshot caches
+
+    def worklist(bound):
+        kernel.last_engine = "worklist"
+        return kernel._run_scalar(bound)
+
+    runners = {"frontier": kernel._run_vector, "worklist": worklist}
+    if kernel._bind(indexed)[0].sweep is not None:
+        runners = {"sweep": kernel._run_sweep, **runners}
+    best = dict.fromkeys(runners, float("inf"))
+    outs = {}
+    for _ in range(max(repeat, 3) * 2):
+        for name, run in runners.items():
+            start = time.perf_counter()
+            out = run(kernel._bind(indexed))
+            best[name] = min(best[name], time.perf_counter() - start)
+            if out is not None:
+                outs[name] = (out[0], kernel.last_engine)
+    return {name: (best[name], *outs[name]) for name in outs}
+
+
+def _forum_wrapper() -> Wrapper:
+    from repro.workloads import FORUM_WRAPPER
+
+    program = parse_elog(FORUM_WRAPPER, query="comment")
+    wrapper = Wrapper()
+    for pattern in ("thread", "comment", "body"):
+        wrapper.add_elog(pattern, program, pattern=pattern)
+    return wrapper
+
+
+def _assert_sweep_exercised() -> None:
+    """CI guard: the forum wrapper must ride the document-order sweep.
+
+    Forum pages are the served workload whose cold runs the sweep exists
+    for (a recursive descent over deep reply chains, lowered to TMNF
+    rules that all point forward in document order).  If the sweep ever
+    stops being selected for them -- a lowering change that mixes hop
+    directions, a planner that rejects a rule shape -- cold forum pages
+    silently fall back to the frontier+worklist fixpoint; fail the smoke
+    job instead.  The engine switch is forced on for the check, so the
+    scalar leg of the CI kernel matrix runs it too.
+    """
+    import repro.datalog.kernel as kernel_mod
+    from repro.workloads import forum_page
+
+    saved = kernel_mod.VECTORIZE_PROPAGATION
+    kernel_mod.VECTORIZE_PROPAGATION = True
+    try:
+        page = forum_page(seed=2, threads=3, depth=10)
+        out, _, stats = _forum_wrapper().wrap_html_stateful(page)
+    finally:
+        kernel_mod.VECTORIZE_PROPAGATION = saved
+    engine = stats["runs"][0]["engine"]
+    if engine != "sweep" or len(out) <= 1:
+        raise SystemExit(
+            f"sweep no longer exercised: the forum wrapper ran via {engine!r} "
+            f"and wrapped {len(out)} output nodes"
+        )
+    print("    sweep guard: forum wrapper on a forum page -> sweep ok")
+
+
 def _assert_scalar_fallback_exercised() -> None:
     """CI guard: constant-anchored blocks must still ride the worklist.
 
@@ -292,6 +369,43 @@ def _assert_scalar_fallback_exercised() -> None:
     print("    scalar-fallback guard: constant-anchored block -> worklist ok")
 
 
+def _sweep_engine_row(compiled, indexed, repeat: int, label: str):
+    """Sweep vs frontier vs worklist timings on one sweep-taking document.
+
+    Returns the row's engine columns -- seconds per engine, the engine
+    the frontier run reported (``frontier+worklist`` on deep chains),
+    and the sweep's speedups -- plus the relations all three derived;
+    exits if any engine disagrees or the sweep did not run.
+    """
+    engines = _timed_kernel_engines(compiled, indexed, repeat=repeat)
+    if "sweep" not in engines:
+        raise SystemExit(f"{label} did not take the sweep")
+    sweep_s, relations, _ = engines["sweep"]
+    frontier_s, frontier_relations, frontier_engine = engines["frontier"]
+    scalar_s, scalar_relations, _ = engines["worklist"]
+    if not relations == frontier_relations == scalar_relations:
+        raise SystemExit(f"kernel engines disagree on {label}")
+    row = {
+        "engine": "sweep",
+        "kernel_sweep_s": sweep_s,
+        "kernel_frontier_s": frontier_s,
+        "kernel_scalar_s": scalar_s,
+        "frontier_engine": frontier_engine,
+        "sweep_vs_frontier": round(frontier_s / sweep_s, 2),
+        "sweep_vs_scalar": round(scalar_s / sweep_s, 2),
+    }
+    return row, relations
+
+
+def _engine_cells(row: dict) -> str:
+    return (
+        f"sweep t={row['kernel_sweep_s'] * 1e3:7.2f} ms   "
+        f"{row['frontier_engine']} t={row['kernel_frontier_s'] * 1e3:7.2f} ms   "
+        f"worklist t={row['kernel_scalar_s'] * 1e3:7.2f} ms   "
+        f"sweep/frontier={row['sweep_vs_frontier']:5.2f}x"
+    )
+
+
 def report_kernel(smoke: bool = False) -> None:
     """Propagation kernel vs compiled joins vs interpreted evaluation.
 
@@ -308,8 +422,13 @@ def report_kernel(smoke: bool = False) -> None:
     ``vector_vs_scalar``; the headline ``kernel_s`` column follows the
     ambient ``REPRO_VECTORIZE_PROPAGATION`` flag so the CI matrix uploads
     one artifact per engine.  ``deep_rows`` adds a chain workload (depth
-    >> breadth, the document-spanner successor shape) where single-bit
-    frontiers must hand off to the worklist instead of going quadratic.
+    >> breadth, the document-spanner successor shape) and ``forum_rows``
+    the served forum wrapper on forum pages; both take the document-order
+    sweep and are timed through the sweep, the frontier engine (whose
+    single-bit frontiers hand off to the worklist) and the worklist, with
+    the engine each run reported, parity asserted, and the sweep's
+    speedups recorded.  Full mode also requires the sweep to be at least
+    5x the frontier engine on forum 8x80.
     """
     import repro.datalog.kernel as kernel_mod
 
@@ -380,11 +499,13 @@ def report_kernel(smoke: bool = False) -> None:
             f"vector/scalar={vector_vs_scalar:5.2f}x   "
             f"t(2n)/t(n)={linearity if linearity is not None else '  --'}"
         )
-    # Deep-tree workload: a root-to-leaf descent over a unary chain.  Every
-    # frontier is a single node, so the vector engine's narrow-frontier
-    # bailout must hand the run to the worklist instead of paying one
-    # whole-domain big-int round per chain node.
+    # Deep-tree workload: a root-to-leaf descent over a unary chain, and
+    # the served forum wrapper on forum pages (deep reply chains).  Every
+    # frontier is a handful of nodes, so the frontier engine hands the run
+    # to the worklist (``frontier+worklist``); both programs point forward
+    # in document order, so they take the sweep.
     from repro.datalog.parser import parse_program
+    from repro.workloads import FORUM_WRAPPER, forum_page
 
     deep_program = parse_program(
         """
@@ -400,40 +521,50 @@ def report_kernel(smoke: bool = False) -> None:
     previous_deep_s = None
     for depth in depths:
         indexed = as_indexed(UnrankedStructure(chain_tree(depth)))
-        vector_s, scalar_s, vector_out, scalar_out = _timed_kernel_pair(
-            deep_compiled, indexed, repeat=repeat
+        row, relations = _sweep_engine_row(
+            deep_compiled, indexed, repeat, f"the depth={depth} chain"
         )
-        if vector_out.relations != scalar_out.relations:
-            raise SystemExit(
-                f"kernel engines disagree on the depth={depth} chain"
-            )
-        if vector_out.query_result() != {depth - 1}:
+        if relations["deep"] != {(depth - 1,)}:
             raise SystemExit(f"wrong answer on the depth={depth} chain")
-        vector_vs_scalar = scalar_s / vector_s if vector_s else float("inf")
-        deep_s = vector_s if ambient_vectorize else scalar_s
+        deep_s = row["kernel_sweep_s"] if ambient_vectorize else row["kernel_scalar_s"]
         linearity = (
             round(deep_s / previous_deep_s, 2) if previous_deep_s else None
         )
         previous_deep_s = deep_s
         deep_rows.append(
-            {
-                "depth": depth,
-                "kernel_s": deep_s,
-                "kernel_vector_s": vector_s,
-                "kernel_scalar_s": scalar_s,
-                "vector_vs_scalar": round(vector_vs_scalar, 2),
-                "vector_engine": vector_out.engine,
-                "linearity": linearity,
-            }
+            {"depth": depth, "kernel_s": deep_s, **row, "linearity": linearity}
         )
         print(
-            f"    chain depth={depth:>5}  "
-            f"kernel scalar t={scalar_s * 1e3:8.2f} ms   "
-            f"vector t={vector_s * 1e3:8.2f} ms   "
-            f"vector/scalar={vector_vs_scalar:5.2f}x   "
-            f"engine={vector_out.engine}   "
+            f"    chain depth={depth:>5}  {_engine_cells(row)}   "
             f"t(2n)/t(n)={linearity if linearity is not None else '  --'}"
         )
+    forum_compiled = compile_program(
+        elog_to_datalog(parse_elog(FORUM_WRAPPER, query="comment"))
+    )
+    forum_rows = []
+    for threads, depth in ((8, 80),) if smoke else ((8, 80), (8, 160)):
+        indexed = as_indexed(
+            Document.from_html(forum_page(seed=1, threads=threads, depth=depth))
+        )
+        label = f"forum {threads}x{depth}"
+        row, relations = _sweep_engine_row(forum_compiled, indexed, repeat, label)
+        reference = forum_compiled.run(indexed, method="seminaive").relations
+        if relations != reference:
+            raise SystemExit(f"kernel and seminaive disagree on {label}")
+        forum_rows.append(
+            {
+                "threads": threads,
+                "depth": depth,
+                "dom": indexed.base.snapshot().size,
+                "kernel_s": (
+                    row["kernel_sweep_s"]
+                    if ambient_vectorize
+                    else row["kernel_scalar_s"]
+                ),
+                **row,
+            }
+        )
+        print(f"    {label:<14} {_engine_cells(row)}")
     if not smoke:
         # Empirical linearity: doubling the document must not much more
         # than double the time (noise allowance on millisecond rows).
@@ -449,7 +580,13 @@ def report_kernel(smoke: bool = False) -> None:
                     f"kernel linearity broken on the chain sweep: "
                     f"t(2n)/t(n)={row['linearity']} at depth={row['depth']}"
                 )
+        if forum_rows[0]["sweep_vs_frontier"] < 5.0:
+            raise SystemExit(
+                "sweep bar missed on forum 8x80: "
+                f"{forum_rows[0]['sweep_vs_frontier']}x the frontier engine"
+            )
     _assert_scalar_fallback_exercised()
+    _assert_sweep_exercised()
     payload = {
         "experiment": "kernel_vs_compiled_vs_interpreted",
         "workload": "elog catalog wrapper (E-C6.4 sweep, doubling items)",
@@ -458,12 +595,15 @@ def report_kernel(smoke: bool = False) -> None:
             "compiled": "repro.datalog.plan.CompiledProgram.run(seminaive)",
             "kernel": "repro.datalog.kernel (CompiledProgram.run(kernel))",
             "kernel_vector": "frontier-at-a-time big-int propagation",
+            "kernel_sweep": "document-order sweep (one pass per direction run)",
+            "kernel_frontier": "frontier engine + narrow-frontier worklist handoff",
             "kernel_scalar": "Dowling-Gallier worklist (VECTORIZE_PROPAGATION=0)",
         },
         "vectorize_default": ambient_vectorize,
         "smoke": smoke,
         "rows": rows,
         "deep_rows": deep_rows,
+        "forum_rows": forum_rows,
     }
     out_path = pathlib.Path(__file__).resolve().parent / "BENCH_kernel.json"
     out_path.write_text(json.dumps(payload, indent=2) + "\n")
@@ -887,6 +1027,84 @@ def parse_program_incremental():
     )
 
 
+def _forum_edit_rows(repeat: int) -> list:
+    """Cold vs warm on the forum-recrawl edit mix (forum 8x80 pages).
+
+    The three edit kinds of ``perfbench``'s forum-recrawl workload:
+    re-tag the deepest comment of every thread, 10% of all comments, or
+    half of them.  Each timing starts from a freshly built document, as a
+    served request does, so per-version work (signature table, vector
+    plan, diff) is paid every time; the snapshot build itself is left
+    out.  Records which engine each side ran -- cold forum pages take
+    the document-order sweep -- so the warm path can be weighed against
+    cold evaluation.
+    """
+    import random as _random
+    import re
+
+    from repro.workloads import FORUM_WRAPPER, forum_page
+
+    compiled = compile_program(
+        elog_to_datalog(parse_elog(FORUM_WRAPPER, query="comment"))
+    )
+    threads, depth = 8, 80
+    page = forum_page(seed=11, threads=threads, depth=depth)
+    _, state, _ = compiled.run_incremental(as_indexed(Document.from_html(page)), None)
+    comments = [(t, d) for t in range(threads) for d in range(depth)]
+    rng = _random.Random(16)
+    edits = {
+        "deepest": [(t, depth - 1) for t in range(threads)],
+        "10pct": rng.sample(comments, round(0.10 * len(comments))),
+        "half": rng.sample(comments, round(0.50 * len(comments))),
+    }
+    rows = []
+    for kind, targets in edits.items():
+        chosen = set(targets)
+        edited = re.sub(
+            r"Comment (\d+)\.(\d+) by",
+            lambda m: m.group(0).replace(" by", " (v2) by")
+            if (int(m.group(1)), int(m.group(2))) in chosen
+            else m.group(0),
+            page,
+        )
+        cold_s = warm_s = float("inf")
+        for _ in range(max(repeat, 3)):
+            doc = as_indexed(Document.from_html(edited))
+            start = time.perf_counter()
+            cold = compiled.run(doc)
+            cold_s = min(cold_s, time.perf_counter() - start)
+            state.snapshot._diff = None  # a re-crawl diffs each pair once
+            doc = as_indexed(Document.from_html(edited))
+            start = time.perf_counter()
+            warm, _, info = compiled.run_incremental(doc, state)
+            warm_s = min(warm_s, time.perf_counter() - start)
+        if warm.relations != cold.relations:
+            raise SystemExit(f"warm/cold disagree on forum {kind} edits")
+        rows.append(
+            {
+                "threads": threads,
+                "depth": depth,
+                "edits": kind,
+                "edited_comments": len(chosen),
+                "dirty_fraction": (
+                    None if info is None else round(info["dirty_fraction"], 6)
+                ),
+                "cold_engine": cold.engine,
+                "engine": warm.engine,
+                "cold_s": cold_s,
+                "warm_s": warm_s,
+                "speedup": round(cold_s / warm_s, 2),
+            }
+        )
+        print(
+            f"    forum {threads}x{depth} {kind:>7} edits  "
+            f"cold ({cold.engine}) t={cold_s * 1e3:8.2f} ms   "
+            f"warm ({warm.engine}) t={warm_s * 1e3:8.2f} ms   "
+            f"speedup={cold_s / warm_s:5.2f}x"
+        )
+    return rows
+
+
 def report_incremental(smoke: bool = False) -> None:
     """E-INCR: warm re-extraction over snapshot diffs vs cold runs.
 
@@ -906,10 +1124,14 @@ def report_incremental(smoke: bool = False) -> None:
     every incoming version exactly once, so the memo would otherwise hide
     the diff cost from the measurement.
 
+    ``forum_rows`` adds the forum-recrawl edit mix on forum 8x80 pages
+    (:func:`_forum_edit_rows`); every row records the engine the cold
+    run took (``cold_engine``).
+
     Guards (SystemExit): cold/warm result parity on every row; every
-    warm row must report ``engine="incremental*"``; and in full mode the
-    ≤1%-edit rows at the largest size must be at least 5x faster than
-    cold.
+    warm thread-page row must report ``engine="incremental*"``; and in
+    full mode the ≤1%-edit rows at the largest size must be at least 5x
+    faster than cold.
     """
     import random as _random
 
@@ -974,6 +1196,7 @@ def report_incremental(smoke: bool = False) -> None:
                     "dirty_fraction": round(info["dirty_fraction"], 6),
                     "rounds": info["rounds"],
                     "engine": warm.engine,
+                    "cold_engine": cold.engine,
                     "cold_s": cold_s,
                     "warm_s": warm_s,
                     "speedup": round(speedup, 2),
@@ -984,6 +1207,7 @@ def report_incremental(smoke: bool = False) -> None:
                 f"cold t={cold_s * 1e3:8.2f} ms   warm t={warm_s * 1e3:8.2f} ms   "
                 f"speedup={speedup:5.2f}x  rounds={info['rounds']}"
             )
+    forum_rows = _forum_edit_rows(repeat)
     _assert_incremental_exercised()
     if not smoke:
         biggest = max(rows, key=lambda r: r["nodes"])["nodes"]
@@ -1003,7 +1227,7 @@ def report_incremental(smoke: bool = False) -> None:
             "text edits on the deepest comments (re-crawl recency model)"
         ),
         "engine": {
-            "cold": "CompiledProgram.run(method='kernel') (frontier)",
+            "cold": "CompiledProgram.run(method='kernel') (engine in cold_engine)",
             "warm": (
                 "CompiledProgram.run_incremental: signature_table diff + "
                 "DRed delta fixpoint (engine='incremental')"
@@ -1011,6 +1235,7 @@ def report_incremental(smoke: bool = False) -> None:
         },
         "smoke": smoke,
         "rows": rows,
+        "forum_rows": forum_rows,
     }
     out_path = pathlib.Path(__file__).resolve().parent / "BENCH_incremental.json"
     out_path.write_text(json.dumps(payload, indent=2) + "\n")

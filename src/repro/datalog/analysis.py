@@ -9,12 +9,13 @@ Implements the graph-theoretic notions used throughout Sections 4 and 5:
   counting parallel edges as cycles);
 * *ears* (proof of Lemma 5.7: variables occurring in exactly one binary
   atom);
-* the predicate dependency graph of a program.
+* the predicate dependency graph of a program and its strongly
+  connected components (the strata of the compiled plans and the kernel).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.datalog.program import Program, Rule
 from repro.datalog.terms import Atom, Variable
@@ -127,6 +128,66 @@ def dependency_graph(program: Program) -> Dict[str, Set[str]]:
         for atom in rule.body:
             deps.add(atom.pred)
     return graph
+
+
+def strongly_connected_components(
+    graph: Dict[str, Set[str]], nodes: Set[str]
+) -> List[List[str]]:
+    """Tarjan's SCCs of ``graph`` restricted to ``nodes``.
+
+    Returned in topological order of the condensation with respect to the
+    ``head -> body-dependency`` edges: an SCC appears after everything it
+    depends on (Tarjan emits sink components -- here, the dependency-free
+    ones -- first).
+    """
+    index_of: Dict[str, int] = {}
+    lowlink: Dict[str, int] = {}
+    on_stack: Set[str] = set()
+    stack: List[str] = []
+    sccs: List[List[str]] = []
+    counter = [0]
+
+    def successors(node: str) -> List[str]:
+        return sorted(p for p in graph.get(node, ()) if p in nodes)
+
+    for root in sorted(nodes):
+        if root in index_of:
+            continue
+        frames: List[Tuple[str, Iterator[str]]] = [(root, iter(successors(root)))]
+        index_of[root] = lowlink[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack.add(root)
+        while frames:
+            node, it = frames[-1]
+            descended = False
+            for succ in it:
+                if succ not in index_of:
+                    index_of[succ] = lowlink[succ] = counter[0]
+                    counter[0] += 1
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    frames.append((succ, iter(successors(succ))))
+                    descended = True
+                    break
+                if succ in on_stack:
+                    lowlink[node] = min(lowlink[node], index_of[succ])
+            if descended:
+                continue
+            frames.pop()
+            if lowlink[node] == index_of[node]:
+                component: List[str] = []
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    component.append(member)
+                    if member == node:
+                        break
+                sccs.append(component)
+            if frames:
+                parent = frames[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[node])
+    return sccs
 
 
 def is_recursive(program: Program) -> bool:

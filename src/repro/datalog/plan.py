@@ -31,7 +31,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.datalog.analysis import dependency_graph, split_disconnected
+from repro.datalog.analysis import (
+    dependency_graph,
+    split_disconnected,
+    strongly_connected_components,
+)
 from repro.datalog.program import Program, Rule
 from repro.datalog.seminaive import _order_body
 from repro.datalog.terms import Constant, Atom, Variable
@@ -61,9 +65,11 @@ class EvaluationResult:
         The program's query predicate, if any.
     engine:
         For ``method == "kernel"``, which propagation engine ran:
-        ``"frontier"`` (big-int frontier-at-a-time), ``"worklist"`` (scalar
-        Dowling–Gallier), or ``"frontier+worklist"`` (narrow-frontier
-        bailout).  ``None`` for the other strategies.
+        ``"sweep"`` (document-order passes), ``"frontier"`` (big-int
+        frontier-at-a-time), ``"worklist"`` (scalar Dowling–Gallier),
+        ``"frontier+worklist"`` (narrow-frontier bailout), or
+        ``"incremental"`` / ``"incremental+worklist"`` (warm runs).
+        ``None`` for the other strategies.
     stats:
         For ``method == "kernel"``, the kernel's per-run stats dict
         (``engine`` / ``rounds`` / ``facts`` / ``frontier_widths`` /
@@ -333,66 +339,6 @@ class _RulePlan:
         self.delta_variants: Tuple[Tuple[_OrderedPlan, int], ...] = tuple(variants)
 
 
-def _strongly_connected_components(
-    graph: Dict[str, Set[str]], nodes: Set[str]
-) -> List[List[str]]:
-    """Tarjan's SCCs of ``graph`` restricted to ``nodes``.
-
-    Returned in topological order of the condensation with respect to the
-    ``head -> body-dependency`` edges: an SCC appears after everything it
-    depends on (Tarjan emits sink components -- here, the dependency-free
-    ones -- first).
-    """
-    index_of: Dict[str, int] = {}
-    lowlink: Dict[str, int] = {}
-    on_stack: Set[str] = set()
-    stack: List[str] = []
-    sccs: List[List[str]] = []
-    counter = [0]
-
-    def successors(node: str) -> List[str]:
-        return sorted(p for p in graph.get(node, ()) if p in nodes)
-
-    for root in sorted(nodes):
-        if root in index_of:
-            continue
-        frames: List[Tuple[str, Iterator[str]]] = [(root, iter(successors(root)))]
-        index_of[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while frames:
-            node, it = frames[-1]
-            descended = False
-            for succ in it:
-                if succ not in index_of:
-                    index_of[succ] = lowlink[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    frames.append((succ, iter(successors(succ))))
-                    descended = True
-                    break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index_of[succ])
-            if descended:
-                continue
-            frames.pop()
-            if lowlink[node] == index_of[node]:
-                component: List[str] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                sccs.append(component)
-            if frames:
-                parent = frames[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-    return sccs
-
-
 class CompiledProgram:
     """A datalog program compiled into an executable, reusable plan.
 
@@ -446,7 +392,7 @@ class CompiledProgram:
         if self._strata_cache is None:
             program = self.program
             graph = dependency_graph(program)
-            sccs = _strongly_connected_components(graph, self._intensional)
+            sccs = strongly_connected_components(graph, self._intensional)
             scc_of: Dict[str, int] = {}
             for i, scc in enumerate(sccs):
                 for pred in scc:
@@ -674,7 +620,7 @@ class CompiledProgram:
         >>> v2 = UnrankedStructure(parse_sexpr("a(b(c), e)"))
         >>> result, state, info = compiled.run_incremental(v1, None)
         >>> sorted(result.query_result()), result.engine
-        ([0, 1, 2, 3], 'frontier')
+        ([0, 1, 2, 3], 'sweep')
         >>> result, state, info = compiled.run_incremental(v2, state)
         >>> sorted(result.query_result()), result.engine
         ([0, 1, 2, 3], 'incremental')

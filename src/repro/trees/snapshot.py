@@ -525,16 +525,14 @@ class TreeSnapshot:
             return parent
         if self.schema == "unranked":
             if name == "firstchild":
-                prevsibling = self.prevsibling
                 return [
-                    parent[v] if prevsibling[v] < 0 else -1 for v in range(n)
+                    p if s < 0 else -1 for p, s in zip(parent, self.prevsibling)
                 ]
             if name == "nextsibling":
                 return self.prevsibling
             if name == "lastchild":
-                nextsibling = self.nextsibling
                 return [
-                    parent[v] if nextsibling[v] < 0 else -1 for v in range(n)
+                    p if s < 0 else -1 for p, s in zip(parent, self.nextsibling)
                 ]
             return None
         k = self._child_k(name)

@@ -10,7 +10,6 @@ or more fails.  Several shapes were quadratic before the tag-soup cuts
 kept per-label open positions (the first two took 21 s and 36 s at 4n).
 """
 
-import gc
 import time
 
 import pytest
@@ -18,6 +17,8 @@ import pytest
 from repro.html import parse_html
 from repro.trees.stream import html_snapshot
 from repro.trees.unranked import UnrankedStructure
+
+from tests.helpers_shared import assert_scales_linearly
 
 #: name -> (document builder, n).  4n is the large size: big enough that
 #: a cut scanning the open stack per tag would cost seconds there.
@@ -48,43 +49,17 @@ SHAPES = {
 BUILDERS = {"html_snapshot": html_snapshot, "parse_html": parse_html}
 
 
-def _best(build, doc: str, repeat: int) -> float:
-    """Best-of-``repeat`` wall time, with the cyclic GC paused: its
-    full collections grow with the live heap, not with this algorithm."""
-    best = float("inf")
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(repeat):
-            started = time.perf_counter()
-            build(doc)
-            best = min(best, time.perf_counter() - started)
-    finally:
-        gc.enable()
-    return best
-
-
 @pytest.mark.parametrize("builder", sorted(BUILDERS))
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_front_end_scales_linearly(shape, builder):
     make, n = SHAPES[shape]
     build = BUILDERS[builder]
     small_doc, large_doc = make(n), make(4 * n)
-    # A busy machine can stretch one timing; superlinear work misses the
-    # bound on every attempt (quadratic grows ~16x), so a shape passes
-    # when any of three attempts stays under it.
-    attempts = []
-    for _ in range(3):
-        small = _best(build, small_doc, repeat=3)
-        large = _best(build, large_doc, repeat=2)
-        # Shapes that cost microseconds are judged against a 0.5 ms
-        # floor, so timer jitter cannot fail them; a quadratic cut at 4n
-        # costs far more.
-        ratio = large / max(small, 5e-4)
-        if ratio < 8.0:
-            return
-        attempts.append((round(ratio, 1), small, large))
-    pytest.fail(f"{shape} via {builder}: t(4n)/t(n) >= 8 on every attempt {attempts}")
+    assert_scales_linearly(
+        f"{shape} via {builder}",
+        lambda: build(small_doc),
+        lambda: build(large_doc),
+    )
 
 
 def test_deep_unmatched_page_builds_well_under_a_second():

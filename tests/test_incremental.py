@@ -228,15 +228,17 @@ class TestIncrementalKernelParity:
 
     def test_worklist_handoff_packs_reusable_state(self):
         # 2 threads keep the frontier under the narrow limit: the cold
-        # run *must* hand off to the scalar worklist, and since the
-        # handoff packs the finished bitmasks into a KernelState, the
-        # next version still gets a warm run.
+        # frontier run *must* hand off to the scalar worklist, and since
+        # the handoff packs the finished bitmasks into a KernelState, the
+        # next version still gets a warm run.  The descent is one
+        # forward stratum, so a default cold run takes the document-order
+        # sweep; the frontier engine is driven directly here.
         program = descent_program()
         v1 = thread_tree(2, 40)
-        cold, state, _ = program.run_incremental(
-            as_indexed(UnrankedStructure(v1)), None
-        )
-        assert cold.engine == "frontier+worklist"
+        kernel = program._kernel
+        kernel._run_vector(kernel._bind(as_indexed(UnrankedStructure(v1))))
+        assert kernel.last_engine == "frontier+worklist"
+        state = kernel.last_state
         assert state is not None
         v2 = thread_tree(2, 40)
         self.edit(random.Random(3), v2, 2)

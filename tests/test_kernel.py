@@ -661,6 +661,7 @@ class TestFrontierParity:
         assert nonempty >= 10  # the fuzz actually derived facts
 
     def test_deep_chain_trees_agree_and_vectorize(self, monkeypatch):
+        import repro.datalog.kernel as kernel_mod
         from repro.trees.generate import chain_tree
 
         rng = random.Random(11)
@@ -676,6 +677,13 @@ class TestFrontierParity:
                 kernel, structure, monkeypatch
             )
             assert vectorized == scalar == evaluate_seminaive(program, structure)
+            if engine == "sweep":
+                # Forward- or backward-only recursion takes the sweep by
+                # default; the frontier engine must agree on it too.
+                monkeypatch.setattr(kernel_mod, "VECTORIZE_PROPAGATION", True)
+                frontier = kernel._run_vector(kernel._bind(structure))
+                assert frontier is not None and frontier[0] == vectorized
+                engine = kernel.last_engine
             if engine and engine.startswith("frontier"):
                 frontier_runs += 1
         assert frontier_runs >= 5
@@ -743,3 +751,343 @@ class TestFrontierParity:
         assert result.engine == "frontier"
         seminaive = compile_program(program).run(structure, method="seminaive")
         assert seminaive.engine is None
+
+
+#: Single-hop bodies by direction: forward hops move facts to later
+#: preorder ids, backward hops (the inverses) to earlier ones.
+_HOPS = {
+    "forward": (
+        "firstchild(x0, x)", "nextsibling(x0, x)", "lastchild(x0, x)",
+        "child(x0, x)",
+    ),
+    "backward": (
+        "firstchild(x, x0)", "nextsibling(x, x0)", "lastchild(x, x0)",
+        "child(x, x0)",
+    ),
+}
+
+
+def _random_sweep_program(rng, groups, labels=("a", "b")):
+    """A random TMNF-shaped program: one recursive stratum per group.
+
+    Each entry of ``groups`` is the tuple of hop directions its stratum
+    may use.  A group is a chain ``p0 <- p1 <- ... <- pk`` closed by a hop
+    back into ``p0``, so every rule of the group sits in one strongly
+    connected stratum; a two-direction group forces one hop of each
+    direction onto that cycle.  Group ``g`` is seeded from group
+    ``g - 1``'s last predicate, so the strata run in order.
+    """
+    la, lb = labels
+    guards = (
+        f"label_{la}", f"label_{lb}", f"notlabel_{lb}", "leaf", "root",
+        "firstsibling", "lastsibling", "dom",
+    )
+    rules = []
+    previous = None
+    for g, directions in enumerate(groups):
+        preds = [f"g{g}p0"]
+        if previous is None:
+            rules.append(f"g{g}p0(x) :- label_{la}(x).")
+        else:
+            rules.append(f"g{g}p0(x) :- {previous}(x), {rng.choice(guards)}(x).")
+        forced = list(directions) if len(directions) > 1 else []
+        for i in range(1, rng.randint(1, 5) + len(forced) + 1):
+            head, s = f"g{g}p{i}", preds[-1]
+            kind = forced.pop() if forced else rng.choice(("local", "local2", "hop", "hop"))
+            if kind == "local":
+                rules.append(f"{head}(x) :- {s}(x), {rng.choice(guards)}(x).")
+            elif kind == "local2":
+                rules.append(f"{head}(x) :- {s}(x), {rng.choice(preds)}(x).")
+            else:
+                direction = kind if kind in _HOPS else rng.choice(directions)
+                guard = rng.choice(("",) + tuple(f", {q}(x0)" for q in guards))
+                hop = rng.choice(_HOPS[direction])
+                rules.append(f"{head}(x) :- {s}(x0){guard}, {hop}.")
+            preds.append(head)
+        closing = rng.choice(_HOPS[directions[0]])
+        rules.append(f"g{g}p0(x) :- {preds[-1]}(x0), {closing}.")
+        previous = preds[-1]
+    # Rule order must not matter: shuffled, a node-local closure needs
+    # several rounds over the local rules.
+    rng.shuffle(rules)
+    return parse_program("\n".join(rules), query=previous)
+
+
+def _fan_tree(width):
+    from repro.trees.node import Node
+
+    root = Node("a")
+    for i in range(width):
+        root.new_child("ab"[i % 2])
+    return root
+
+
+class TestSweepParity:
+    """Fuzz suite for the document-order sweep: sweep == frontier ==
+    worklist == seminaive on random TMNF-shaped programs (forward-only,
+    backward-only, alternating strata, and mixed-direction strata, which
+    must not take the sweep) over random trees, tag soup, deep chains and
+    wide fans; warm re-runs from sweep-built states; and the served
+    wrappers on every generator page."""
+
+    SHAPES = {
+        "forward": (("forward",),),
+        "backward": (("backward",),),
+        "alternating": (("forward",), ("backward",), ("forward",)),
+        "mixed": (("forward", "backward"),),
+    }
+
+    def _check(self, program, structure, shape, monkeypatch):
+        import repro.datalog.kernel as kernel_mod
+
+        kernel = compile_kernel(program)
+        assert kernel is not None, program
+        monkeypatch.setattr(kernel_mod, "VECTORIZE_PROPAGATION", True)
+        default = kernel.run(structure)
+        engine = kernel.last_engine
+        if shape == "mixed":
+            assert engine != "sweep" and kernel._variants[0].sweep is None
+            frontier = default
+        else:
+            assert engine == "sweep", program
+            passes = 3 if shape == "alternating" else 1
+            assert kernel.last_stats["rounds"] == passes
+            assert kernel.last_state is not None
+            out = kernel._run_vector(kernel._bind(structure))
+            # ``None``: a move with no bulk form on this document (the
+            # parent image of a wide fan) -- only the worklist remains.
+            frontier = default if out is None else out[0]
+            if out is not None:
+                assert kernel.last_engine.startswith("frontier")
+        monkeypatch.setattr(kernel_mod, "VECTORIZE_PROPAGATION", False)
+        scalar = kernel.run(structure)
+        assert kernel.last_engine == "worklist"
+        # The compiled semi-naive plan: its indexed joins keep the
+        # 2,500-round sibling recursions over a wide fan to seconds.
+        reference = compile_program(program).run(
+            as_indexed(structure), method="seminaive"
+        ).relations
+        assert default == frontier == scalar == reference, f"{program}"
+        return reference
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_random_trees(self, shape, monkeypatch):
+        rng = random.Random(f"sweep-{shape}")
+        derived = 0
+        for _ in range(40):
+            program = _random_sweep_program(rng, self.SHAPES[shape])
+            tree = random_tree(rng, rng.randint(1, 30), labels=("a", "b"))
+            reference = self._check(
+                program, UnrankedStructure(tree), shape, monkeypatch
+            )
+            derived += any(reference.values())
+        assert derived >= 20  # the fuzz actually derives facts
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_tag_soup(self, shape, monkeypatch):
+        from repro.html import parse_html
+        from tests.test_stream import soup
+
+        rng = random.Random(f"soup-{shape}")
+        for _ in range(20):
+            program = _random_sweep_program(
+                rng, self.SHAPES[shape], labels=("li", "p")
+            )
+            structure = UnrankedStructure(parse_html(soup(rng, pieces=40)))
+            self._check(program, structure, shape, monkeypatch)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_deep_chains_and_wide_fans(self, shape, monkeypatch):
+        from repro.trees.generate import chain_tree
+
+        rng = random.Random(f"big-{shape}")
+        # Sibling recursion over the fan takes the semi-naive oracle
+        # thousands of rounds, so the fan gets one program per shape.
+        for tree, programs in ((chain_tree(2000, "a"), 2), (_fan_tree(5000), 1)):
+            structure = UnrankedStructure(tree)
+            for _ in range(programs):
+                program = _random_sweep_program(rng, self.SHAPES[shape])
+                self._check(program, structure, shape, monkeypatch)
+
+    def test_warm_runs_from_sweep_state_match_cold(self):
+        import re
+
+        from repro.elog.parser import parse_elog
+        from repro.elog.translate import elog_to_datalog
+        from repro.workloads import FORUM_WRAPPER, forum_page
+        from repro.wrap.document import Document
+
+        compiled = compile_program(
+            elog_to_datalog(parse_elog(FORUM_WRAPPER, query="comment"))
+        )
+        rng = random.Random(1607)
+        warm_runs = 0
+        for seed in range(6):
+            page = forum_page(seed=seed, threads=3, depth=12)
+            doc = as_indexed(Document.from_html(page))
+            cold, state, _ = compiled.run_incremental(doc, None)
+            assert cold.engine == "sweep" and state is not None
+            for _ in range(4):
+                t, d = rng.randrange(3), rng.randrange(12)
+                edit = rng.choice(("text", "drop_body", "new_thread"))
+                if edit == "text":
+                    page = page.replace(f"Comment {t}.{d} ", f"Comment {t}.{d} (edit) ", 1)
+                elif edit == "drop_body":
+                    page = re.sub(rf"<p>Comment {t}\.{d} [^<]*</p>", "", page, count=1)
+                else:
+                    page = page.replace(
+                        '<ul class="threads">',
+                        '<ul class="threads"><li class="comment"><p>new</p></li>',
+                        1,
+                    )
+                doc = as_indexed(Document.from_html(page))
+                warm, state, info = compiled.run_incremental(doc, state)
+                reference = compiled.run(doc, method="seminaive")
+                for pred in ("thread", "comment", "body"):
+                    assert warm.unary(pred) == reference.unary(pred), (seed, edit)
+                if info is not None:
+                    warm_runs += 1
+                    assert warm.engine.startswith("incremental")
+                else:
+                    assert warm.engine == "sweep"
+        assert warm_runs >= 12  # most edits really ran warm
+
+    def test_generator_pages_wrap_like_seminaive(self):
+        from repro.elog.parser import parse_elog
+        from repro.elog.translate import elog_to_datalog
+        from repro.workloads import (
+            CATALOG_WRAPPER,
+            FORUM_WRAPPER,
+            catalog_page,
+            forum_page,
+        )
+        from repro.wrap.document import Document
+        from repro.wrap.extraction import Wrapper
+        from repro.wrap.output import build_flat_output
+
+        cases = [
+            (
+                FORUM_WRAPPER, ("thread", "comment", "body"),
+                [
+                    forum_page(seed=seed, threads=threads, depth=depth)
+                    for seed in (0, 1)
+                    for threads, depth in ((1, 1), (2, 3), (3, 17), (8, 80))
+                ],
+                "sweep",
+            ),
+            (
+                CATALOG_WRAPPER, ("record", "name", "price"),
+                [
+                    catalog_page(seed=seed, items=items, with_discounts=discounts)
+                    for seed in (0, 1)
+                    for items in (0, 1, 7, 64)
+                    for discounts in (True, False)
+                ],
+                "frontier",
+            ),
+        ]
+        for source, patterns, pages, engine in cases:
+            program = parse_elog(source, query=patterns[0])
+            wrapper = Wrapper()
+            for pattern in patterns:
+                wrapper.add_elog(pattern, program, pattern=pattern)
+            compiled = compile_program(elog_to_datalog(program))
+            for page, flat in zip(pages, wrapper.wrap_html_flat(pages)):
+                doc = as_indexed(Document.from_html(page))
+                assert compiled.run(doc).engine == engine
+                reference = compiled.run(doc, method="seminaive")
+                assignment = {}
+                for pattern in patterns:
+                    for ident in reference.unary(pattern):
+                        assignment.setdefault(ident, pattern)
+                expected = build_flat_output(
+                    doc.base.snapshot(), assignment, root_label="result"
+                )
+                assert flat == expected
+
+    def test_shared_automaton_under_concurrent_sweeps(self, monkeypatch):
+        # Every sweep of one lowering interns its states into one shared
+        # automaton.  Threads racing to discover states from empty must
+        # still all see consistent state ids.
+        import sys
+        import threading
+
+        import repro.datalog.kernel as kernel_mod
+
+        monkeypatch.setattr(kernel_mod, "VECTORIZE_PROPAGATION", True)
+        rng = random.Random("threads")
+        program = _random_sweep_program(rng, self.SHAPES["alternating"])
+        kernel = compile_kernel(program)
+        structures = [
+            UnrankedStructure(random_tree(rng, rng.randint(20, 60), labels=("a", "b")))
+            for _ in range(12)
+        ]
+        reference = [evaluate_seminaive(program, s) for s in structures]
+        plan = kernel._variants[0].sweep
+        failures = []
+
+        def work(offset):
+            try:
+                for i in range(len(structures)):
+                    j = (i + offset) % len(structures)
+                    # A kernel keeps per-run stats, so each thread runs
+                    # its own KernelProgram over the shared lowering.
+                    own = kernel_mod.KernelProgram(program, kernel._variants)
+                    if own.run(structures[j]) != reference[j]:
+                        failures.append(j)
+            except Exception as error:  # surfaced by the assert below
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # Races happen only while states are discovered: start each
+            # round from an empty automaton.
+            for _ in range(8):
+                plan.automaton = kernel_mod._SweepAutomaton(len(plan.hops))
+                threads = [
+                    threading.Thread(target=work, args=(k * 3,)) for k in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                automaton = plan.automaton
+                assert len(automaton.ids) == len(automaton.states) > 1
+                for images in automaton.images:
+                    assert len(images) == len(automaton.states)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+
+    def test_many_states_and_automaton_rebuild(self, monkeypatch):
+        # Nine ancestor-label bits give every root path its own state:
+        # more than the 256 one byte per node can number, so the lanes
+        # are read back node by node.  A tiny memo cap then forces the
+        # shared automaton to be rebuilt between runs.
+        import repro.datalog.kernel as kernel_mod
+        from repro.trees.node import Node
+
+        labels = [f"l{i}" for i in range(9)]
+        rules = []
+        for label in labels:
+            rules.append(f"seen_{label}(x) :- label_{label}(x).")
+            rules.append(f"seen_{label}(x) :- seen_{label}(x0), firstchild(x0, x).")
+        program = parse_program("\n".join(rules), query="seen_l0")
+        root = Node("r")
+        for mask in range(1 << len(labels)):
+            node = root
+            for i, label in enumerate(labels):
+                if mask >> i & 1:
+                    node = node.new_child(label)
+        structure = UnrankedStructure(root)
+        kernel = compile_kernel(program)
+        reference = evaluate_seminaive(program, structure)
+        assert kernel.run(structure) == reference
+        assert kernel.last_engine == "sweep"
+        automaton = kernel._variants[0].sweep.automaton
+        assert len(automaton.states) > 256
+        monkeypatch.setattr(kernel_mod, "_SWEEP_MEMO_CAP", 0)
+        assert kernel.run(structure) == reference
+        assert kernel._variants[0].sweep.automaton is not automaton

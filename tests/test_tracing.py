@@ -228,6 +228,23 @@ class TestHistogramsAndPrometheus:
         assert hist.quantile(0.5) <= hist.quantile(0.95) <= hist.quantile(1.0)
         assert hist.quantile(1.0) == pytest.approx(32.0)
 
+    def test_buckets_are_fine_enough_to_show_a_20_percent_move(self):
+        # Adjacent bounds at most 2^(1/4) apart over the 0.5 ms .. ~16 s
+        # range: a quantile estimate is off by under 19%.
+        assert DEFAULT_BUCKETS[0] == 0.0005
+        assert DEFAULT_BUCKETS[-1] == pytest.approx(0.0005 * 2**15)
+        ratios = [b / a for a, b in zip(DEFAULT_BUCKETS, DEFAULT_BUCKETS[1:])]
+        assert max(ratios) <= 1.19
+        # A 20% slower stage moves its p50 (doubling buckets reported
+        # 32 ms for both).
+        p50 = []
+        for ms in (16.5, 19.8):
+            hist = Histogram()
+            for value in (ms, ms, 100.0):
+                hist.observe(value / 1e3)
+            p50.append(hist.quantile(0.5))
+        assert p50[0] < p50[1]
+
     def test_stage_and_wrapper_histograms_in_snapshot(self):
         metrics = ServeMetrics()
         metrics.observe_stage("kernel.run", 0.002)
